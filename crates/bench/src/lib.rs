@@ -1,11 +1,7 @@
-//! Shared helpers for the Criterion benchmarks (see `benches/`).
-//!
-//! * `benches/figures.rs` — regenerates each paper figure at reduced trial
-//!   counts (the `figures` binary runs the full paper scale).
-//! * `benches/micro.rs` — micro-benchmarks of the substrates: SPF, BGP
-//!   convergence, traceroute mesh, greedy hitting set.
-//! * `benches/ablations.rs` — design-choice ablations: greedy vs exact
-//!   hitting set, ND-edge scoring weights.
+//! Shared fixture for the Criterion perf benchmark (`benches/perf.rs`),
+//! whose medians `scripts/bench.sh` gates. End-to-end and per-layer
+//! timing lives in `perfbench/`; the `figures` binary regenerates the
+//! paper figures and ablation tables.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;

@@ -161,25 +161,6 @@ impl<T: Ord + Copy> VecSet<T> {
             }
         }
     }
-
-    /// Removes `t`; returns false when it was absent.
-    #[allow(dead_code)] // part of the set API; engine paths may not need it
-    pub fn remove(&mut self, t: &T) -> bool {
-        match self.entries.binary_search(t) {
-            Ok(i) => {
-                self.entries.remove(i);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// True when the set holds no elements.
-    #[allow(dead_code)] // part of the set API; engine paths may not need it
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 impl<T> IntoIterator for VecSet<T> {
@@ -226,8 +207,6 @@ mod tests {
         assert!(!s.insert(4));
         assert_eq!(s.clone().into_iter().collect::<Vec<_>>(), vec![2, 4]);
         assert!(s.contains(&2));
-        assert!(s.remove(&2));
-        assert!(!s.remove(&2));
-        assert!(!s.is_empty());
+        assert!(!s.contains(&3));
     }
 }

@@ -537,7 +537,7 @@ mod tests {
 
     #[test]
     fn recorder_sees_diagnosis_counters() {
-        let (recorder, sink) = RecorderHandle::in_memory();
+        let (recorder, sink) = RecorderHandle::live();
         let ip2as = ip2as();
         let o = obs();
         let d = NetDiagnoser::builder()
@@ -545,7 +545,7 @@ mod tests {
             .build()
             .diagnose(&o, &ip2as)
             .unwrap();
-        let report = sink.report();
+        let report = sink.snapshot();
         assert_eq!(report.counter(netdiag_obs::names::DIAG_RUNS), 1);
         assert!(report.counter(netdiag_obs::names::HS_GREEDY_ITERS) >= 1);
         let h = report
@@ -556,7 +556,7 @@ mod tests {
 
     #[test]
     fn report_method_applies_config_and_records_counters() {
-        let (recorder, sink) = RecorderHandle::in_memory();
+        let (recorder, sink) = RecorderHandle::live();
         let ip2as = ip2as();
         let o = obs();
         let report = NetDiagnoser::builder()
@@ -566,7 +566,7 @@ mod tests {
             .unwrap();
         assert!(!report.issues.is_empty());
         assert_eq!(report.algorithm, Algorithm::NdEdge);
-        let run = sink.report();
+        let run = sink.snapshot();
         assert_eq!(run.counter(netdiag_obs::names::REPORT_BUILDS), 1);
         let h = run
             .histogram(netdiag_obs::names::REPORT_ISSUES)

@@ -415,9 +415,9 @@ mod tests {
     fn words_scanned_reported() {
         use netdiag_obs::RecorderHandle;
         let inst = instance(&[&[0, 1], &[0, 2]], &[0, 1, 2]);
-        let (recorder, sink) = RecorderHandle::in_memory();
+        let (recorder, sink) = RecorderHandle::live();
         inst.greedy_recorded(Weights::default(), &recorder);
-        let report = sink.report();
+        let report = sink.snapshot();
         assert!(report.counter("hitting_set.words_scanned") > 0);
     }
 }

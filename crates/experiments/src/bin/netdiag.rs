@@ -64,7 +64,7 @@ use netdiag_experiments::explain::ExplainFilter;
 use netdiag_experiments::runner::{prepare_with, RunConfig};
 use netdiag_experiments::sampling::{sample_failure, FailureSpec};
 use netdiag_netsim::{apply_failure, looking_glass_query, probe_mesh};
-use netdiag_obs::{InMemoryRecorder, Recorder, RecorderHandle, TraceRecorder};
+use netdiag_obs::{LiveRecorder, Recorder, RecorderHandle, TraceRecorder};
 use netdiagnoser::text::{parse_feed, parse_observations, RecordedIpToAs, RecordedLookingGlass};
 use netdiagnoser::{Algorithm, DiagnosticsConfig, NetDiagnoser};
 
@@ -89,7 +89,7 @@ fn usage() -> ! {
 
 /// Output sinks selected on the command line.
 struct RunSinks {
-    profile: Option<(PathBuf, Arc<InMemoryRecorder>)>,
+    profile: Option<(PathBuf, Arc<LiveRecorder>)>,
     tracer: Option<Arc<TraceRecorder>>,
     trace_path: Option<PathBuf>,
     chrome_path: Option<PathBuf>,
@@ -101,7 +101,7 @@ fn run_recorder(args: &[String]) -> (RecorderHandle, RunSinks) {
     let trace_path = get_flag(args, "--trace").map(PathBuf::from);
     let chrome_path = get_flag(args, "--trace-chrome").map(PathBuf::from);
     let profile = get_flag(args, "--profile")
-        .map(|path| (PathBuf::from(path), Arc::new(InMemoryRecorder::new())));
+        .map(|path| (PathBuf::from(path), Arc::new(LiveRecorder::new())));
     let tracer =
         (trace_path.is_some() || chrome_path.is_some()).then(|| Arc::new(TraceRecorder::new()));
     let mut sinks: Vec<Arc<dyn Recorder>> = Vec::new();
@@ -136,7 +136,7 @@ fn write_outputs(sinks: RunSinks) -> Result<(), ExitCode> {
         })
     }
     if let Some((path, sink)) = &sinks.profile {
-        write(path, sink.report().to_json())?;
+        write(path, sink.snapshot().to_json())?;
     }
     if let Some(t) = &sinks.tracer {
         if t.dropped() > 0 {

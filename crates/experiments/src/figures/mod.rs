@@ -16,6 +16,9 @@ pub mod fig9;
 pub mod robustness;
 pub mod scalability;
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
 use netdiag_obs::{names, RecorderHandle};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,7 +27,8 @@ use netdiag_topology::builders::{build_internet, Internet, InternetConfig};
 
 use crate::output::{Cdf, Table};
 use crate::runner::{
-    prepare_with, run_trial_reference, run_trial_with, RunConfig, TrialResult, TrialScratch,
+    prepare_with, run_trial_reference, run_trial_with, PlacementContext, RunConfig, TrialResult,
+    TrialScratch,
 };
 
 /// How much work a figure regeneration does.
@@ -120,35 +124,48 @@ fn resolved_threads(fc: &FigureConfig) -> usize {
     }
 }
 
-/// Phase 1 of a collection: one [`PlacementContext`](crate::runner::PlacementContext)
-/// per placement, each from its own derived seed, prepared on up to
-/// `threads` workers (preparation order does not matter — the seeds make
-/// every context independent of scheduling).
+/// Phase 1 of a collection: one [`PlacementContext`] per placement, each
+/// from its own derived seed, prepared on up to `threads` workers that
+/// claim placements in turn (preparation order does not matter — the
+/// seeds make every context independent of scheduling).
 fn prepare_contexts(
     net: &Internet,
     cfg: &RunConfig,
     fc: &FigureConfig,
     threads: usize,
-) -> Vec<crate::runner::PlacementContext> {
-    let prepare_one = |p: usize| -> crate::runner::PlacementContext {
+) -> Vec<PlacementContext> {
+    let prepare_one = |p: usize| -> PlacementContext {
         let _trial = netdiag_obs::trial_scope(p as u32, netdiag_obs::SETUP_TRIAL);
         let mut prng = StdRng::seed_from_u64(fc.base_seed ^ (p as u64).wrapping_mul(0x9E37_79B9));
         prepare_with(net, cfg, &mut prng, fc.recorder.clone())
     };
-    if threads > 1 && fc.placements > 1 {
-        let prep = &prepare_one;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..fc.placements)
-                .map(|p| scope.spawn(move || prep(p)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("placement worker panicked"))
-                .collect()
-        })
-    } else {
-        (0..fc.placements).map(prepare_one).collect()
+    let workers = threads.min(fc.placements);
+    if workers <= 1 {
+        return (0..fc.placements).map(prepare_one).collect();
     }
+    let next = AtomicUsize::new(0);
+    let mut prepared: Vec<(usize, PlacementContext)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let p = next.fetch_add(1, Ordering::Relaxed);
+                        if p >= fc.placements {
+                            return mine;
+                        }
+                        mine.push((p, prepare_one(p)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("placement worker panicked"))
+            .collect()
+    });
+    prepared.sort_unstable_by_key(|&(p, _)| p);
+    prepared.into_iter().map(|(_, ctx)| ctx).collect()
 }
 
 /// Runs the paper's standard experiment loop for one scenario: `placements`
@@ -160,15 +177,13 @@ fn prepare_contexts(
 /// units: worker `w` starts at placement `w % placements` and drains it
 /// with one persistent [`TrialScratch`] (restores between trials are `Arc`
 /// bumps; only a placement switch rebuilds the scratch), then steals
-/// trials from the next placements (`trial.pool.steal` counts those).
+/// trials from the next placements (`trial.pool.steal` counts those; a
+/// lone worker walking the placements in order steals from nobody).
 /// Every trial owns an independent seeded RNG and writes to its
 /// `(placement, trial)` slot, so the output is deterministic and identical
 /// to [`collect_trials_sequential`] regardless of scheduling —
 /// `tests/parallel_parity.rs` enforces exactly that.
 pub fn collect_trials(net: &Internet, cfg: &RunConfig, fc: &FigureConfig) -> Vec<TrialResult> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
     let threads = resolved_threads(fc);
     let contexts = prepare_contexts(net, cfg, fc, threads);
 
@@ -178,21 +193,6 @@ pub fn collect_trials(net: &Internet, cfg: &RunConfig, fc: &FigureConfig) -> Vec
         return Vec::new();
     }
     let workers = threads.min(total);
-    if workers <= 1 {
-        // One worker: same loop without the pool machinery (placement
-        // order, persistent scratch per placement).
-        let mut out: Vec<Option<TrialResult>> = Vec::with_capacity(total);
-        for (p, ctx) in contexts.iter().enumerate() {
-            let mut scratch = TrialScratch::new(ctx);
-            for t in 0..fpp {
-                let _trial = netdiag_obs::trial_scope(p as u32, t as u32);
-                let mut rng = StdRng::seed_from_u64(trial_seed(fc.base_seed, p, t));
-                out.push(run_trial_with(ctx, cfg, &mut rng, &mut scratch));
-            }
-        }
-        return out.into_iter().flatten().collect();
-    }
-
     // Per-placement claim counters: a worker claims trial `t` of placement
     // `p` by incrementing `next[p]`. Draining one placement before moving
     // on keeps scratch simulators (and the replay memo's locality) warm.
@@ -213,7 +213,7 @@ pub fn collect_trials(net: &Internet, cfg: &RunConfig, fc: &FigureConfig) -> Vec
                         if t >= fpp {
                             break; // placement drained: move (steal) on
                         }
-                        if off > 0 && fc.recorder.enabled() {
+                        if off > 0 && workers > 1 && fc.recorder.enabled() {
                             fc.recorder.add(names::TRIAL_POOL_STEAL, 1);
                         }
                         if scratch.as_ref().map(|(sp, _)| *sp) != Some(p) {

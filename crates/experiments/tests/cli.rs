@@ -214,3 +214,52 @@ fn netdiag_rejects_degenerate_custom_topology() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("at least one core"));
     let _ = fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn netdiag_profile_writes_a_run_report() {
+    use netdiag_obs::json::{parse, Json};
+    use netdiag_obs::names;
+
+    let dir = temp_dir("profile");
+    let scenario = dir.join("scenario");
+    let sim_profile = dir.join("simulate.json");
+    let diag_profile = dir.join("diagnose.json");
+    let run = |args: &[&str]| {
+        let out = netdiag().args(args).output().unwrap();
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
+    run(&[
+        "simulate",
+        "--out",
+        scenario.to_str().unwrap(),
+        "--seed",
+        "5",
+        "--profile",
+        sim_profile.to_str().unwrap(),
+    ]);
+    run(&[
+        "diagnose",
+        "--dir",
+        scenario.to_str().unwrap(),
+        "--profile",
+        diag_profile.to_str().unwrap(),
+    ]);
+    let counter = |report: &PathBuf, name: &str| {
+        let doc = parse(&fs::read_to_string(report).unwrap()).unwrap();
+        doc.get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(Json::as_u64)
+            .unwrap_or(0)
+    };
+    for name in [names::IGP_SETTLED_NODES, names::BGP_MSGS] {
+        assert!(counter(&sim_profile, name) > 0, "simulate: {name}");
+    }
+    for name in [names::DIAG_RUNS, names::HS_GREEDY_ITERS] {
+        assert!(counter(&diag_profile, name) > 0, "diagnose: {name}");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -124,14 +124,10 @@ pub struct AsIgp {
 }
 
 impl AsIgp {
-    /// Runs SPF for `as_id` over the currently-up intra links.
-    pub fn compute(topology: &Topology, as_id: AsId, links: &LinkState) -> Self {
-        Self::compute_recorded(topology, as_id, links, &RecorderHandle::noop())
-    }
-
-    /// [`AsIgp::compute`] reporting `igp.spf_runs` / `igp.settled_nodes`
-    /// to `recorder`. Counters are batched locally and flushed once.
-    pub fn compute_recorded(
+    /// Runs SPF for `as_id` over the currently-up intra links, reporting
+    /// `igp.spf_runs` / `igp.settled_nodes` to `recorder`. Counters are
+    /// batched locally and flushed once.
+    pub fn compute(
         topology: &Topology,
         as_id: AsId,
         links: &LinkState,
@@ -406,7 +402,7 @@ impl Igp {
         let per_as = topology
             .ases()
             .iter()
-            .map(|a| Arc::new(AsIgp::compute_recorded(topology, a.id, links, recorder)))
+            .map(|a| Arc::new(AsIgp::compute(topology, a.id, links, recorder)))
             .collect();
         Igp { per_as }
     }
@@ -424,6 +420,7 @@ impl Igp {
         let threads = threads.min(n);
         let chunk = n.div_ceil(threads);
         let ases = topology.ases();
+        let noop = &RecorderHandle::noop();
         let mut per_as = Vec::with_capacity(n);
         std::thread::scope(|s| {
             let handles: Vec<_> = ases
@@ -432,7 +429,7 @@ impl Igp {
                     s.spawn(move || {
                         slice
                             .iter()
-                            .map(|a| Arc::new(AsIgp::compute(topology, a.id, links)))
+                            .map(|a| Arc::new(AsIgp::compute(topology, a.id, links, noop)))
                             .collect::<Vec<_>>()
                     })
                 })
@@ -464,28 +461,23 @@ impl Igp {
         }
     }
 
-    /// Recomputes a single AS after its intra-domain link state changed.
-    pub fn recompute_as(&mut self, topology: &Topology, as_id: AsId, links: &LinkState) {
-        self.recompute_as_recorded(topology, as_id, links, &RecorderHandle::noop());
-    }
-
-    /// [`Igp::recompute_as`] reporting SPF counters to `recorder`.
-    pub fn recompute_as_recorded(
+    /// Recomputes a single AS after its intra-domain link state changed,
+    /// reporting SPF counters to `recorder`.
+    pub fn recompute_as(
         &mut self,
         topology: &Topology,
         as_id: AsId,
         links: &LinkState,
         recorder: &RecorderHandle,
     ) {
-        self.per_as[as_id.index()] =
-            Arc::new(AsIgp::compute_recorded(topology, as_id, links, recorder));
+        self.per_as[as_id.index()] = Arc::new(AsIgp::compute(topology, as_id, links, recorder));
     }
 
     /// Incrementally updates one AS after the given links went down,
     /// recomputing only the cone of sources whose shortest-path DAG used
     /// a failed edge.
     ///
-    /// Produces the exact same tables as [`Igp::recompute_as_recorded`]
+    /// Produces the exact same tables as [`Igp::recompute_as`]
     /// (same distances, same deterministic tie-breaks, same ECMP sets) —
     /// unaffected sources keep all their old shortest paths, so skipping
     /// them is lossless. When *no* source is affected the shared per-AS
@@ -649,7 +641,7 @@ mod tests {
         let mut igp = Igp::compute(&t, &links);
         assert_eq!(igp.of(AsId(0)).dist(r0, r1), Some(1));
         links.set_down(LinkId(0));
-        igp.recompute_as(&t, AsId(0), &links);
+        igp.recompute_as(&t, AsId(0), &links, &netdiag_obs::RecorderHandle::noop());
         assert_eq!(igp.of(AsId(0)).dist(r0, r1), Some(4));
     }
 

@@ -381,7 +381,7 @@ impl Sim {
         }
         for &a in &affected_ases {
             self.igp
-                .recompute_as_recorded(&self.topology, a, &self.links, &self.recorder);
+                .recompute_as(&self.topology, a, &self.links, &self.recorder);
         }
         let ctx = Ctx {
             topology: &self.topology,
@@ -420,7 +420,7 @@ impl Sim {
                 self.recorder.add(names::SIM_SNAPSHOT_COW_BREAKS, 1);
             }
             self.igp
-                .recompute_as_recorded(&self.topology, as_id, &self.links, &self.recorder);
+                .recompute_as(&self.topology, as_id, &self.links, &self.recorder);
         }
         let ctx = Ctx {
             topology: &self.topology,

@@ -15,10 +15,10 @@
 //! (`igp.spf_runs`, `bgp.msgs`, `probe.hops`, `hs.greedy_iters`, …); the
 //! full vocabulary lives in [`names`].
 //!
-//! Two recorders ship with the crate: [`NoopRecorder`] (the default —
-//! every call is a no-op behind an `enabled()` fast-gate, so
-//! uninstrumented runs pay nothing) and [`InMemoryRecorder`]
-//! (thread-safe aggregation plus a stable, hand-rolled JSON
+//! Two aggregate recorders ship with the crate: [`NoopRecorder`] (the
+//! default — every call is a no-op behind an `enabled()` fast-gate, so
+//! uninstrumented runs pay nothing) and [`LiveRecorder`] (lock-free
+//! thread-safe aggregation, snapshotted into a stable, hand-rolled JSON
 //! [`RunReport`] — no serde). Instrumented code holds a cheap
 //! [`RecorderHandle`] (a clonable `Arc<dyn Recorder>`); hot loops batch
 //! locally and flush one `add` per operation.
@@ -35,13 +35,15 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 pub mod event;
 pub mod json;
 pub mod live;
 pub mod names;
+#[cfg(test)]
+mod oracle;
 pub mod trace;
 
 pub use event::{Event, EventPayload, Phase, Value};
@@ -140,29 +142,8 @@ fn log2_bucket(value: u64) -> usize {
 }
 
 impl SeriesStats {
-    fn record(&mut self, value: u64) {
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-        self.buckets[log2_bucket(value)] += 1;
-    }
-
-    fn new(value: u64) -> Self {
-        let mut buckets = [0u64; 65];
-        buckets[log2_bucket(value)] = 1;
-        SeriesStats {
-            count: 1,
-            sum: value,
-            min: value,
-            max: value,
-            buckets,
-        }
-    }
-
     /// Assembles stats from already-aggregated parts (the
-    /// [`LiveRecorder`] snapshot path, which accumulates in atomics
-    /// rather than through [`record`](Self::record)).
+    /// [`LiveRecorder`] snapshot path, which accumulates in atomics).
     pub(crate) fn from_parts(count: u64, sum: u64, min: u64, max: u64, buckets: [u64; 65]) -> Self {
         SeriesStats {
             count,
@@ -249,106 +230,6 @@ pub struct GaugeSnapshot {
     pub high_water: u64,
 }
 
-#[derive(Debug, Default)]
-struct Aggregates {
-    counters: BTreeMap<&'static str, u64>,
-    histograms: BTreeMap<&'static str, SeriesStats>,
-    spans: BTreeMap<&'static str, SeriesStats>,
-    gauges: BTreeMap<&'static str, GaugeSnapshot>,
-}
-
-/// A thread-safe aggregating recorder whose contents serialize to a
-/// stable JSON [`RunReport`].
-#[derive(Debug, Default)]
-pub struct InMemoryRecorder {
-    inner: Mutex<Aggregates>,
-}
-
-impl InMemoryRecorder {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Snapshots the aggregates collected so far.
-    pub fn report(&self) -> RunReport {
-        let inner = self.inner.lock().expect("recorder poisoned");
-        RunReport {
-            counters: inner
-                .counters
-                .iter()
-                .map(|(&k, &v)| (k.to_owned(), v))
-                .collect(),
-            histograms: inner
-                .histograms
-                .iter()
-                .map(|(&k, &v)| (k.to_owned(), v))
-                .collect(),
-            spans: inner
-                .spans
-                .iter()
-                .map(|(&k, &v)| (k.to_owned(), v))
-                .collect(),
-            gauges: inner
-                .gauges
-                .iter()
-                .map(|(&k, &v)| (k.to_owned(), v))
-                .collect(),
-        }
-    }
-}
-
-impl Recorder for InMemoryRecorder {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn add(&self, name: &'static str, delta: u64) {
-        let mut inner = self.inner.lock().expect("recorder poisoned");
-        *inner.counters.entry(name).or_insert(0) += delta;
-    }
-
-    fn observe(&self, name: &'static str, value: u64) {
-        let mut inner = self.inner.lock().expect("recorder poisoned");
-        match inner.histograms.entry(name) {
-            std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().record(value),
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(SeriesStats::new(value));
-            }
-        }
-    }
-
-    fn record_span(&self, name: &'static str, nanos: u64) {
-        let mut inner = self.inner.lock().expect("recorder poisoned");
-        match inner.spans.entry(name) {
-            std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().record(nanos),
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(SeriesStats::new(nanos));
-            }
-        }
-    }
-
-    fn gauge_set(&self, name: &'static str, value: u64) {
-        let mut inner = self.inner.lock().expect("recorder poisoned");
-        let g = inner.gauges.entry(name).or_default();
-        g.current = value;
-        g.high_water = g.high_water.max(value);
-    }
-
-    fn gauge_add(&self, name: &'static str, delta: u64) {
-        let mut inner = self.inner.lock().expect("recorder poisoned");
-        let g = inner.gauges.entry(name).or_default();
-        g.current = g.current.saturating_add(delta);
-        g.high_water = g.high_water.max(g.current);
-    }
-
-    fn gauge_sub(&self, name: &'static str, delta: u64) {
-        let mut inner = self.inner.lock().expect("recorder poisoned");
-        let g = inner.gauges.entry(name).or_default();
-        g.current = g.current.saturating_sub(delta);
-    }
-}
-
 /// A cheap, clonable handle to a shared recorder.
 ///
 /// This is what instrumented types store: cloning shares the underlying
@@ -367,12 +248,6 @@ impl RecorderHandle {
     /// The no-op handle (same as `Default`).
     pub fn noop() -> Self {
         RecorderHandle(Arc::new(NoopRecorder))
-    }
-
-    /// Creates an in-memory recorder and a handle feeding it.
-    pub fn in_memory() -> (Self, Arc<InMemoryRecorder>) {
-        let recorder = Arc::new(InMemoryRecorder::new());
-        (RecorderHandle(recorder.clone()), recorder)
     }
 
     /// Creates a default-capacity trace recorder and a handle feeding it.
@@ -829,12 +704,12 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
-        let (h, rec) = RecorderHandle::in_memory();
+        let (h, rec) = RecorderHandle::live();
         assert!(h.enabled());
         h.add("a.x", 2);
         h.add("a.x", 3);
         h.add("b.y", 1);
-        let report = rec.report();
+        let report = rec.snapshot();
         assert_eq!(report.counter("a.x"), 5);
         assert_eq!(report.counter("b.y"), 1);
         assert_eq!(report.counter("missing"), 0);
@@ -842,28 +717,28 @@ mod tests {
 
     #[test]
     fn histograms_track_min_max_sum() {
-        let (h, rec) = RecorderHandle::in_memory();
+        let (h, rec) = RecorderHandle::live();
         for v in [7, 3, 12] {
             h.observe("h.v", v);
         }
-        let s = *rec.report().histogram("h.v").unwrap();
+        let s = *rec.snapshot().histogram("h.v").unwrap();
         assert_eq!((s.count, s.sum, s.min, s.max), (3, 22, 3, 12));
     }
 
     #[test]
     fn percentiles_are_exact_for_repeated_values_and_bounded_otherwise() {
-        let (h, rec) = RecorderHandle::in_memory();
+        let (h, rec) = RecorderHandle::live();
         for _ in 0..100 {
             h.observe("flat", 4);
         }
-        let s = *rec.report().histogram("flat").unwrap();
+        let s = *rec.snapshot().histogram("flat").unwrap();
         assert_eq!((s.percentile(50), s.percentile(99)), (4, 4));
 
-        let (h, rec) = RecorderHandle::in_memory();
+        let (h, rec) = RecorderHandle::live();
         for v in 1..=100u64 {
             h.observe("ramp", v);
         }
-        let s = *rec.report().histogram("ramp").unwrap();
+        let s = *rec.snapshot().histogram("ramp").unwrap();
         // Log2 buckets: each percentile lands within a factor of two of
         // the exact answer and inside [min, max].
         for (pct, exact) in [(50u64, 50u64), (90, 90), (99, 99)] {
@@ -877,15 +752,15 @@ mod tests {
 
     #[test]
     fn percentile_of_empty_series_is_zero() {
-        let (h, rec) = RecorderHandle::in_memory();
+        let (h, rec) = RecorderHandle::live();
         h.observe("one", 0);
-        let s = *rec.report().histogram("one").unwrap();
+        let s = *rec.snapshot().histogram("one").unwrap();
         assert_eq!(s.percentile(50), 0);
     }
 
     #[test]
     fn spans_record_positive_durations() {
-        let (h, rec) = RecorderHandle::in_memory();
+        let (h, rec) = RecorderHandle::live();
         {
             let _g = h.span("phase.work");
             std::hint::black_box((0..1000).sum::<u64>());
@@ -893,7 +768,7 @@ mod tests {
         {
             let _g = h.span("phase.work");
         }
-        let s = *rec.report().span("phase.work").unwrap();
+        let s = *rec.snapshot().span("phase.work").unwrap();
         assert_eq!(s.count, 2);
         assert!(s.sum >= s.min + s.min);
         assert!(s.max >= s.min);
@@ -901,16 +776,16 @@ mod tests {
 
     #[test]
     fn handle_clones_share_the_recorder() {
-        let (h, rec) = RecorderHandle::in_memory();
+        let (h, rec) = RecorderHandle::live();
         let h2 = h.clone();
         h.add("c", 1);
         h2.add("c", 1);
-        assert_eq!(rec.report().counter("c"), 2);
+        assert_eq!(rec.snapshot().counter("c"), 2);
     }
 
     #[test]
     fn report_json_shape_is_stable() {
-        let (h, rec) = RecorderHandle::in_memory();
+        let (h, rec) = RecorderHandle::live();
         h.add("b.second", 2);
         h.add("a.first", 1);
         h.observe("sizes", 4);
@@ -919,7 +794,7 @@ mod tests {
         {
             let _g = h.span("phase");
         }
-        let json = rec.report().to_json();
+        let json = rec.snapshot().to_json();
         assert!(json.starts_with("{\n  \"version\": 3,\n"));
         // Counters are in lexicographic order regardless of insertion.
         let a = json.find("\"a.first\": 1").unwrap();
@@ -944,8 +819,8 @@ mod tests {
 
     #[test]
     fn empty_report_json_is_well_formed() {
-        let (_h, rec) = RecorderHandle::in_memory();
-        let json = rec.report().to_json();
+        let (_h, rec) = RecorderHandle::live();
+        let json = rec.snapshot().to_json();
         assert!(json.contains("\"counters\": {}"));
         assert!(json.contains("\"gauges\": {}"));
         assert!(json.contains("\"histograms\": {}"));
@@ -953,31 +828,15 @@ mod tests {
     }
 
     #[test]
-    fn in_memory_gauges_track_level_and_high_water() {
-        let (h, rec) = RecorderHandle::in_memory();
-        h.gauge_add("q", 2);
-        h.gauge_add("q", 3);
-        h.gauge_sub("q", 4);
-        let g = rec.report().gauge("q").unwrap();
-        assert_eq!((g.current, g.high_water), (1, 5));
-        h.gauge_sub("q", 10);
-        assert_eq!(rec.report().gauge("q").unwrap().current, 0);
-        h.gauge_set("q", 3);
-        let g = rec.report().gauge("q").unwrap();
-        assert_eq!((g.current, g.high_water), (3, 5));
-        assert!(rec.report().gauge("missing").is_none());
-    }
-
-    #[test]
     fn prometheus_exposition_covers_all_kinds() {
-        let (h, rec) = RecorderHandle::in_memory();
+        let (h, rec) = RecorderHandle::live();
         h.add("serve.requests", 7);
         h.gauge_add("serve.queue_depth", 2);
         h.observe("serve.latency_us", 100);
         {
             let _g = h.span("serve.phase.diagnose");
         }
-        let prom = rec.report().to_prometheus();
+        let prom = rec.snapshot().to_prometheus();
         assert!(prom.contains("# TYPE netdiag_serve_requests_total counter\n"));
         assert!(prom.contains("netdiag_serve_requests_total 7\n"));
         assert!(prom.contains("netdiag_serve_queue_depth 2\n"));
@@ -1009,9 +868,9 @@ mod tests {
 
     #[test]
     fn event_payload_closure_never_runs_without_a_tracing_sink() {
-        // Noop and in-memory recorders have trace_enabled() == false, so
+        // Noop and live recorders have trace_enabled() == false, so
         // the payload builder must not even run.
-        for h in [RecorderHandle::noop(), RecorderHandle::in_memory().0] {
+        for h in [RecorderHandle::noop(), RecorderHandle::live().0] {
             assert!(!h.trace_enabled());
             h.event(names::EV_HS_PICK, || unreachable!("payload built"));
         }
@@ -1019,7 +878,7 @@ mod tests {
 
     #[test]
     fn fanout_routes_metrics_and_events_to_interested_sinks() {
-        let metrics = Arc::new(InMemoryRecorder::new());
+        let metrics = Arc::new(LiveRecorder::new());
         let trace_a = Arc::new(TraceRecorder::new());
         let trace_b = Arc::new(TraceRecorder::new());
         let h = RecorderHandle::fanout(vec![metrics.clone(), trace_a.clone(), trace_b.clone()]);
@@ -1028,7 +887,7 @@ mod tests {
         h.event(names::EV_HS_PICK, || {
             EventPayload::new().field("edge", 1u64)
         });
-        assert_eq!(metrics.report().counter("c"), 2);
+        assert_eq!(metrics.snapshot().counter("c"), 2);
         assert_eq!(trace_a.len(), 1);
         // Both tracing sinks got the (cloned) event.
         assert_eq!(trace_a.events(), trace_b.events());
@@ -1043,7 +902,7 @@ mod tests {
 
     #[test]
     fn concurrent_adds_do_not_lose_updates() {
-        let (h, rec) = RecorderHandle::in_memory();
+        let (h, rec) = RecorderHandle::live();
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let h = h.clone();
@@ -1054,6 +913,6 @@ mod tests {
                 });
             }
         });
-        assert_eq!(rec.report().counter("t"), 4000);
+        assert_eq!(rec.snapshot().counter("t"), 4000);
     }
 }

@@ -150,8 +150,8 @@ struct Ring {
 /// A bounded-ring trace sink: keeps the most recent `capacity` events.
 ///
 /// Collects no metrics ([`Recorder::enabled`] stays `false`) so a pure
-/// tracing run skips all counter batching; compose with an
-/// [`crate::InMemoryRecorder`] through [`crate::FanoutRecorder`] to get
+/// tracing run skips all counter batching; compose with a
+/// [`crate::LiveRecorder`] through [`crate::FanoutRecorder`] to get
 /// both. When the ring wraps, the oldest events are dropped and counted —
 /// exports from a run with `dropped() > 0` are incomplete and no longer
 /// byte-comparable across executions.

@@ -5,13 +5,14 @@
 //! check we can run without a model checker: every contribution must
 //! land exactly once, from any interleaving, whether recorded straight
 //! into the registry or through a [`FanoutRecorder`] composed via
-//! [`RecorderHandle::sink`]. The parity test pins the other half of the
-//! contract: on a sequential workload the lock-free registry reports
-//! byte-for-byte what the mutexed [`InMemoryRecorder`] reports.
+//! [`RecorderHandle::sink`]. The other half of the contract — on a
+//! sequential workload the lock-free registry reports exactly what a
+//! plain mutex-guarded aggregator reports — is pinned by the parity
+//! tests beside that oracle in the crate's unit tests.
 
 use std::sync::Arc;
 
-use netdiag_obs::{InMemoryRecorder, LiveRecorder, Recorder, RecorderHandle};
+use netdiag_obs::{LiveRecorder, Recorder, RecorderHandle};
 
 const THREADS: u64 = 8;
 const OPS: u64 = 10_000;
@@ -78,9 +79,10 @@ fn concurrent_hammering_loses_nothing() {
 #[test]
 fn fanout_composition_keeps_every_sink_exact() {
     // The daemon's shape: a live registry fanned out with another sink,
-    // reached through RecorderHandle::sink() composition.
+    // reached through RecorderHandle::sink() composition. Two registries
+    // also share every thread's slot cache, which must keep them apart.
     let live = Arc::new(LiveRecorder::new());
-    let mirror = Arc::new(InMemoryRecorder::new());
+    let mirror = Arc::new(LiveRecorder::new());
     let handle = RecorderHandle::fanout(vec![
         Arc::clone(&live) as Arc<dyn Recorder>,
         Arc::clone(&mirror) as Arc<dyn Recorder>,
@@ -89,27 +91,5 @@ fn fanout_composition_keeps_every_sink_exact() {
     let rewrapped = RecorderHandle::fanout(vec![handle.sink()]);
     hammer(&rewrapped);
     assert_totals(&live.snapshot(), "live sink");
-    assert_totals(&mirror.report(), "mirrored sink");
-}
-
-#[test]
-fn sequential_workload_matches_in_memory_recorder_exactly() {
-    let (live_handle, live) = RecorderHandle::live();
-    let (mem_handle, mem) = RecorderHandle::in_memory();
-    for recorder in [&live_handle, &mem_handle] {
-        for i in 0..5_000u64 {
-            recorder.add(COUNTER, 1 + i % 3);
-            recorder.observe(HIST, i * i % 4096);
-            recorder.record_span(SPAN, i % 100);
-            recorder.gauge_add(GAUGE, 2);
-            recorder.gauge_sub(GAUGE, 1);
-            if i % 500 == 0 {
-                recorder.gauge_set(GAUGE, 5);
-            }
-        }
-    }
-    // Whole-report equality: counters, per-bucket histograms, spans,
-    // gauges — the lock-free path may not drift from the reference
-    // aggregation in any field.
-    assert_eq!(live.snapshot(), mem.report());
+    assert_totals(&mirror.snapshot(), "mirrored sink");
 }

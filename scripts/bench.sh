@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Runs the perf benchmark suite in quick mode and distils the medians into
-# BENCH_PR6.json at the repo root:
+# target/bench/perf_medians.json (a build output, rewritten every run):
 #
 #   { "<bench id>": { "samples": N, "min_ns": ..., "median_ns": ..., "mean_ns": ... }, ... }
 #
@@ -18,7 +18,6 @@
 #     exact pinned message count (determinism).
 #
 # Full-budget run (no quick caps): BENCH_QUICK=0 scripts/bench.sh
-# Extra benches (figures/micro/ablations too): BENCH_ALL=1 scripts/bench.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,15 +30,10 @@ if [ "$quick" != "0" ]; then
   export CRITERION_QUICK=1
 fi
 
-benches=(perf)
-if [ "${BENCH_ALL:-0}" != "0" ]; then
-  benches+=(micro ablations figures)
-fi
-for b in "${benches[@]}"; do
-  cargo bench -q -p netdiag-bench --bench "$b"
-done
+cargo bench -q -p netdiag-bench --bench perf
 
-python3 - "$jsonl" BENCH_PR6.json BENCH_PR3.json <<'EOF'
+mkdir -p target/bench
+python3 - "$jsonl" target/bench/perf_medians.json BENCH_PR3.json <<'EOF'
 import json, sys
 
 out = {}

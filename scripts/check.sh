@@ -27,11 +27,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== tier-1: release build =="
 cargo build --release
 
-echo "== tier-1: tests =="
-cargo test -q
+echo "== tests (whole workspace) =="
+cargo test --workspace -q
 
 echo "== bench + perf gates (full budget) =="
-# scripts/bench.sh runs the perf bench, rewrites BENCH_PR6.json and applies
+# scripts/bench.sh runs the perf bench, writes its medians under target/ and applies
 # the regression / incremental / pool / trace-overhead guards. The gate
 # uses the full measurement budget (~1 extra minute): the quick-mode
 # 10-sample minima swing by ±30% on a busy box, which a 1.25x regression
