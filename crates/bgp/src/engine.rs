@@ -83,8 +83,10 @@ fn unpack_source(v: u8) -> RouteSource {
 /// Append-only: path ids stay valid for the lifetime of the pool, so a
 /// snapshot restored over a grown pool still resolves every id. Lives
 /// behind an `Arc` with copy-on-write mutation, so engine clones share it
-/// until one interns a path the pool has not seen.
-#[derive(Clone, Debug)]
+/// until one interns a path the pool has not seen. A shard worker keeps
+/// its new paths in a private, initially empty pool (`Default`) whose ids
+/// are offsets past the engine's pool.
+#[derive(Clone, Debug, Default)]
 struct PathPool {
     /// Reverse index; point lookups only, never iterated.
     ids: HashMap<AsPath, u32>,
@@ -104,6 +106,23 @@ impl PathPool {
     #[inline]
     fn get(&self, id: u32) -> &AsPath {
         &self.paths[id as usize]
+    }
+
+    /// The id of `path`, when it is interned.
+    #[inline]
+    fn id_of(&self, path: &AsPath) -> Option<u32> {
+        self.ids.get(path).copied()
+    }
+
+    /// Interns `path`, returning its stable id.
+    fn intern(&mut self, path: AsPath) -> u32 {
+        if let Some(id) = self.id_of(&path) {
+            return id;
+        }
+        let id = self.paths.len() as u32;
+        self.ids.insert(path, id);
+        self.paths.push(path);
+        id
     }
 }
 
@@ -250,8 +269,9 @@ impl AdjCell {
         false
     }
 
-    /// Rewrites every stored path id through `tr` (shard merge).
-    fn map_paths(&mut self, tr: &dyn Fn(u32) -> u32) {
+    /// Rewrites every stored path id through `tr` (shard path-id
+    /// translation).
+    fn map_paths(&mut self, tr: impl Fn(u32) -> u32) {
         let il = self.inline_len();
         for e in &mut self.inline[..il] {
             e.path = tr(e.path);
@@ -306,6 +326,21 @@ impl PidSet {
     #[inline]
     fn is_empty(&self) -> bool {
         self.count == 0
+    }
+
+    /// Overwrites the bits of word `w` selected by `mask` with those of
+    /// `bits`, keeping the cardinality.
+    fn splice_word(&mut self, w: usize, bits: u64, mask: u64) {
+        if w >= self.words.len() {
+            if bits & mask == 0 {
+                return;
+            }
+            self.words.resize(w + 1, 0);
+        }
+        let old = self.words[w];
+        let new = (old & !mask) | (bits & mask);
+        self.count = self.count - old.count_ones() + new.count_ones();
+        self.words[w] = new;
     }
 
     /// Set bits in ascending pid order.
@@ -445,26 +480,356 @@ pub struct RunStats {
 /// dispute loop). Scaled with topology size at engine construction.
 const MAX_MESSAGES_PER_RUN: u64 = 200_000_000;
 
-/// The BGP simulator for a whole topology.
+/// The message plane's read-only inputs: everything `deliver`, `decide`,
+/// `propagate` and `export` consult but never write during a run.
 ///
-/// Per-router state sits behind [`Arc`]s so a `Bgp` clone is O(#routers)
-/// pointer bumps; mutation goes through [`Bgp::state_mut`], which clones a
-/// router's RIBs only when they are still shared with another engine clone
-/// (copy-on-write). The session table, prefix table and per-session policy
-/// metadata are immutable after construction and shared outright; the
-/// path pool is append-only and copy-on-write.
+/// Plain borrows, never `Arc`s: a shard worker reads these tables on its
+/// own core without touching a refcount another core also writes.
+#[derive(Clone, Copy)]
+struct Env<'a> {
+    ctx: Ctx<'a>,
+    sessions: &'a SessionTable,
+    sess_meta: &'a [SessMeta],
+    prefixes: &'a [Prefix],
+    filters: &'a ExportFilters,
+    /// Session-liveness cache (see [`Bgp::recompute_liveness`]).
+    live: Option<&'a [u8]>,
+    /// Message cap for one run.
+    msg_cap: u64,
+}
+
+/// Write access to the routing state the message plane mutates.
+///
+/// Two implementations: [`CowRib`], the copy-on-write engine state every
+/// sequential run and incremental trial uses, and [`ShardRib`], one
+/// worker's in-place view of a sharded run. The hot functions on [`Env`]
+/// are generic over it, so they exist once.
+trait Rib {
+    /// Observes a delivered message on a live session (the observer tap
+    /// and the trace hook; nothing on a shard, where both are gated off).
+    fn tap(&mut self, _env: &Env<'_>, _msg: &Msg, _meta: SessMeta) {}
+    /// The next queued message, FIFO.
+    fn next_msg(&mut self) -> Option<Msg>;
+    /// Queues a message.
+    fn send(&mut self, msg: Msg);
+    /// Counts one decision-process run.
+    fn count_decision(&mut self);
+    /// The interned AS path `id`.
+    fn path(&self, id: u32) -> &AsPath;
+    /// Interns `path`, returning its id.
+    fn intern(&mut self, path: AsPath) -> u32;
+    /// True when `r` originates `pid`.
+    fn originates(&self, r: RouterId, pid: Pid) -> bool;
+    /// `r`'s Adj-RIB-In cell for `pid`.
+    fn adj_in(&self, r: RouterId, pid: Pid) -> &AdjCell;
+    /// Stores the route for `pid` learned on `sid` at `r`.
+    fn learn(&mut self, r: RouterId, sid: SessionId, pid: Pid, sr: StoredRoute);
+    /// Drops the route for `pid` learned on `sid` at `r`, if any.
+    fn forget(&mut self, r: RouterId, sid: SessionId, pid: Pid);
+    /// `r`'s best route for `pid`.
+    fn best(&self, r: RouterId, pid: Pid) -> Option<StoredRoute>;
+    /// Installs `r`'s best route for `pid`.
+    fn set_best(&mut self, r: RouterId, pid: Pid, best: Option<StoredRoute>);
+    /// True when `r` currently advertises `pid` on `sid`.
+    fn advertised(&self, r: RouterId, sid: SessionId, pid: Pid) -> bool;
+    /// Records whether `r` advertises `pid` on `sid`.
+    fn set_advertised(&mut self, r: RouterId, sid: SessionId, pid: Pid, on: bool);
+}
+
+impl Env<'_> {
+    /// Session liveness through the cache when present (one byte load on
+    /// the hot path), falling back to the ground-truth recomputation.
+    #[inline]
+    fn sess_up(&self, sid: SessionId) -> bool {
+        let ctx = self.ctx;
+        match self.live {
+            Some(v) => {
+                let up = v[sid.index()] != 0;
+                debug_assert_eq!(
+                    up,
+                    self.sessions.is_up(sid, ctx.topology, ctx.igp, ctx.links),
+                    "stale session-liveness cache for {sid:?}"
+                );
+                up
+            }
+            None => self.sessions.is_up(sid, ctx.topology, ctx.igp, ctx.links),
+        }
+    }
+
+    /// Processes `rib`'s queued messages to quiescence; returns how many.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the safety cap is exceeded (policy dispute — cannot happen
+    /// with the Gao-Rexford policies this workspace generates).
+    fn drain<R: Rib>(&self, rib: &mut R) -> u64 {
+        let mut messages = 0u64;
+        while let Some(msg) = rib.next_msg() {
+            messages += 1;
+            assert!(
+                messages <= self.msg_cap,
+                "BGP did not converge: policy dispute?"
+            );
+            self.deliver(rib, msg);
+        }
+        messages
+    }
+
+    /// Delivers one message.
+    // hot
+    fn deliver<R: Rib>(&self, rib: &mut R, msg: Msg) {
+        if !self.sess_up(msg.session) {
+            return; // lost with the session
+        }
+        let meta = self.sess_meta[msg.session.index()];
+        rib.tap(self, &msg, meta);
+        let Msg {
+            session,
+            from: _,
+            to,
+            payload,
+        } = msg;
+        let pid = match payload {
+            Payload::Update(rm) => {
+                match self.import(rib, to, session, meta, rm) {
+                    Some(sr) => rib.learn(to, session, rm.pid, sr),
+                    // Loop-rejected update acts as a withdraw of any
+                    // previous route on the session.
+                    None => rib.forget(to, session, rm.pid),
+                }
+                rm.pid
+            }
+            Payload::Withdraw(pid) => {
+                rib.forget(to, session, pid);
+                pid
+            }
+        };
+        if self.decide(rib, to, pid) {
+            self.propagate(rib, to, pid);
+        }
+    }
+
+    /// Converts an incoming update into a stored route (import policy).
+    /// Returns `None` when the route is loop-rejected.
+    fn import<R: Rib>(
+        &self,
+        rib: &R,
+        to: RouterId,
+        session: SessionId,
+        meta: SessMeta,
+        rm: RouteMsg,
+    ) -> Option<StoredRoute> {
+        let s = self.sessions.get(session);
+        match s.kind {
+            SessionKind::Ebgp { link } => {
+                let (my_as, rel) = if to == s.a {
+                    (meta.a_as, meta.rel_at_a)
+                } else {
+                    (meta.b_as, meta.rel_at_b)
+                };
+                if rib.path(rm.path).contains(&my_as) {
+                    return None;
+                }
+                Some(StoredRoute {
+                    path: rm.path,
+                    egress: to,
+                    link: link.0,
+                    session: session.0,
+                    local_pref: local_pref_for(rel),
+                    path_len: rm.path_len,
+                    source: pack_source(RouteSource::External(rel)),
+                    ebgp: 1,
+                })
+            }
+            SessionKind::Ibgp => Some(StoredRoute {
+                path: rm.path,
+                egress: rm.egress,
+                link: NO_LINK,
+                session: session.0,
+                local_pref: rm.local_pref,
+                path_len: rm.path_len,
+                source: rm.source,
+                ebgp: 0,
+            }),
+        }
+    }
+
+    /// Recomputes the best route of `r` for `pid`. Returns true when the
+    /// Loc-RIB entry changed.
+    // hot
+    fn decide<R: Rib>(&self, rib: &mut R, r: RouterId, pid: Pid) -> bool {
+        rib.count_decision();
+        let best: Option<StoredRoute> = if rib.originates(r, pid) {
+            Some(StoredRoute::originated(r))
+        } else {
+            let as_igp = self.ctx.igp.of(self.ctx.topology.as_of_router(r));
+            rib.adj_in(r, pid)
+                .iter()
+                .filter(|sr| {
+                    self.sess_up(SessionId(sr.session))
+                        && (sr.ebgp != 0 || as_igp.reachable(r, sr.egress))
+                })
+                .max_by_key(|sr| {
+                    let igp_dist = if sr.egress == r {
+                        0
+                    } else {
+                        as_igp.dist(r, sr.egress).expect("filtered reachable")
+                    };
+                    let neighbor = self
+                        .sessions
+                        .get(SessionId(sr.session))
+                        .other(r)
+                        .expect("a stored session has the owning router as an endpoint")
+                        .0;
+                    (
+                        sr.local_pref,
+                        std::cmp::Reverse(sr.path_len),
+                        sr.ebgp != 0,
+                        std::cmp::Reverse(igp_dist),
+                        std::cmp::Reverse(neighbor),
+                        std::cmp::Reverse(sr.session),
+                    )
+                })
+                .copied()
+        };
+
+        // Only take write access when the entry actually changes, so a
+        // no-op re-decision (the common case in `refresh_as` and in
+        // withdraw storms that leave the best route alone) keeps the
+        // router's state shared.
+        if rib.best(r, pid) == best {
+            return false;
+        }
+        rib.set_best(r, pid, best);
+        true
+    }
+
+    /// Synchronizes every session's Adj-RIB-Out with the current best route
+    /// of `r` for `pid`, queueing updates/withdraws.
+    // hot
+    fn propagate<R: Rib>(&self, rib: &mut R, r: RouterId, pid: Pid) {
+        let best: Option<StoredRoute> = rib.best(r, pid);
+        // The eBGP prepend is identical for every peer of `r`; intern it
+        // once, lazily, per propagate.
+        let mut prepended: Option<(u32, u8)> = None;
+        for &sid in self.sessions.of_router(r) {
+            if !self.sess_up(sid) {
+                continue;
+            }
+            let session = *self.sessions.get(sid);
+            let peer = session
+                .other(r)
+                .expect("sid comes from r's session table, so r is an endpoint");
+            let advertise: Option<RouteMsg> = match best {
+                Some(b) => self.export(rib, r, peer, session, pid, b, &mut prepended),
+                None => None,
+            };
+            let had = rib.advertised(r, sid, pid);
+            match advertise {
+                Some(rm) => {
+                    if !had {
+                        rib.set_advertised(r, sid, pid, true);
+                    }
+                    rib.send(Msg {
+                        session: sid,
+                        from: r,
+                        to: peer,
+                        payload: Payload::Update(rm),
+                    });
+                }
+                None if had => {
+                    rib.set_advertised(r, sid, pid, false);
+                    rib.send(Msg {
+                        session: sid,
+                        from: r,
+                        to: peer,
+                        payload: Payload::Withdraw(pid),
+                    });
+                }
+                None => {}
+            }
+        }
+    }
+
+    /// Export policy: what (if anything) `r` advertises for its best route
+    /// `b` to `peer` over the given session. Interns the prepended AS path
+    /// (cached in `prepended` across one propagate).
+    #[allow(clippy::too_many_arguments)]
+    fn export<R: Rib>(
+        &self,
+        rib: &mut R,
+        r: RouterId,
+        peer: RouterId,
+        session: Session,
+        pid: Pid,
+        b: StoredRoute,
+        prepended: &mut Option<(u32, u8)>,
+    ) -> Option<RouteMsg> {
+        let meta = self.sess_meta[session.id.index()];
+        if !meta.ebgp {
+            // Standard iBGP: only eBGP-learned and originated routes are
+            // re-advertised internally (no reflection of iBGP routes).
+            if !(b.ebgp != 0 || b.source == SRC_ORIGINATED) {
+                return None;
+            }
+            return Some(RouteMsg {
+                pid,
+                path: b.path,
+                path_len: b.path_len,
+                local_pref: b.local_pref,
+                egress: r,
+                source: b.source,
+            });
+        }
+        let (my_as, peer_as, rel) = if r == session.a {
+            (meta.a_as, meta.b_as, meta.rel_at_a)
+        } else {
+            (meta.b_as, meta.a_as, meta.rel_at_b)
+        };
+        if !unpack_source(b.source).exportable_to(rel) {
+            return None;
+        }
+        if rib.path(b.path).contains(&peer_as) {
+            return None; // AS-level split horizon
+        }
+        if b.session == session.id.0 {
+            return None; // never echo a route back on its session
+        }
+        if self.filters.is_denied(r, peer, self.prefixes[pid as usize]) {
+            return None; // misconfiguration
+        }
+        let (path, path_len) = match *prepended {
+            Some(v) => v,
+            None => {
+                let new_path = rib.path(b.path).prepended(my_as);
+                let v = (rib.intern(new_path), b.path_len + 1);
+                *prepended = Some(v);
+                v
+            }
+        };
+        Some(RouteMsg {
+            pid,
+            path,
+            path_len,
+            local_pref: 0,
+            egress: r,
+            source: b.source,
+        })
+    }
+}
+
+/// The engine's mutable routing state, copy-on-write.
+///
+/// Per-router state sits behind [`Arc`]s so an engine clone is
+/// O(#routers) pointer bumps; writes go through [`CowRib::state_mut`],
+/// which copies a router's RIBs only while they are still shared with
+/// another clone. The message queue, the observer tap and the batched
+/// counters live here too, beside the state they describe.
 #[derive(Clone, Debug)]
-pub struct Bgp {
-    /// The session table (public for inspection; immutable after build).
-    pub sessions: Arc<SessionTable>,
-    /// Sorted prefix table; pid = index (immutable after build).
-    prefixes: Arc<Vec<Prefix>>,
-    /// Per-session policy inputs (immutable after build).
-    sess_meta: Arc<Vec<SessMeta>>,
+struct CowRib {
     /// Interned AS paths (append-only, copy-on-write).
     paths: Arc<PathPool>,
     routers: Vec<Arc<RouterState>>,
-    filters: ExportFilters,
     queue: VecDeque<Msg>,
     observer: Option<AsId>,
     observed: Vec<ObservedMsg>,
@@ -478,8 +843,175 @@ pub struct Bgp {
     decisions: u64,
     /// Copy-on-write breaks since the last flush (batched like `decisions`).
     cow_breaks: u64,
-    /// Prefixes visited by scoped replay since the last flush (batched).
-    replay_prefixes: u64,
+}
+
+impl CowRib {
+    /// Read access to a router's BGP state.
+    #[inline]
+    fn state(&self, r: RouterId) -> &RouterState {
+        &self.routers[r.index()]
+    }
+
+    /// Write access to a router's BGP state, cloning it first when it is
+    /// still shared with another engine clone (copy-on-write break).
+    fn state_mut(&mut self, r: RouterId) -> &mut RouterState {
+        let arc = &mut self.routers[r.index()];
+        if Arc::strong_count(arc) > 1 {
+            self.cow_breaks += 1;
+        }
+        Arc::make_mut(arc)
+    }
+}
+
+impl Rib for CowRib {
+    fn tap(&mut self, env: &Env<'_>, msg: &Msg, meta: SessMeta) {
+        // Observer tap: record eBGP messages arriving in the observer AS.
+        if let Some(obs) = self.observer {
+            if meta.ebgp {
+                let s = env.sessions.get(msg.session);
+                let (to_as, from_as) = if msg.to == s.a {
+                    (meta.a_as, meta.b_as)
+                } else {
+                    (meta.b_as, meta.a_as)
+                };
+                if to_as == obs {
+                    let (pid, kind) = match msg.payload {
+                        Payload::Update(rm) => (rm.pid, ObservedKind::Update),
+                        Payload::Withdraw(pid) => (pid, ObservedKind::Withdraw),
+                    };
+                    self.observed.push(ObservedMsg {
+                        at: msg.to,
+                        from: msg.from,
+                        from_as,
+                        prefix: env.prefixes[pid as usize],
+                        kind,
+                        seq: self.seq,
+                    });
+                    self.seq += 1;
+                }
+            }
+        }
+        if self.trace_on {
+            self.recorder.event(names::EV_BGP_MESSAGE, || {
+                let (msg_kind, pid) = match msg.payload {
+                    Payload::Update(rm) => ("update", rm.pid),
+                    Payload::Withdraw(pid) => ("withdraw", pid),
+                };
+                netdiag_obs::EventPayload::new()
+                    .field("kind", msg_kind)
+                    .field("session", if meta.ebgp { "ebgp" } else { "ibgp" })
+                    .field("from", msg.from.index())
+                    .field("to", msg.to.index())
+                    .field("prefix", env.prefixes[pid as usize].to_string())
+            });
+        }
+    }
+
+    #[inline]
+    fn next_msg(&mut self) -> Option<Msg> {
+        self.queue.pop_front()
+    }
+
+    #[inline]
+    fn send(&mut self, msg: Msg) {
+        self.queue.push_back(msg);
+    }
+
+    #[inline]
+    fn count_decision(&mut self) {
+        self.decisions += 1;
+    }
+
+    #[inline]
+    fn path(&self, id: u32) -> &AsPath {
+        self.paths.get(id)
+    }
+
+    /// Breaks pool sharing only when the path is genuinely new to this
+    /// engine.
+    fn intern(&mut self, path: AsPath) -> u32 {
+        match self.paths.id_of(&path) {
+            Some(id) => id,
+            None => Arc::make_mut(&mut self.paths).intern(path),
+        }
+    }
+
+    #[inline]
+    fn originates(&self, r: RouterId, pid: Pid) -> bool {
+        self.state(r).originated.contains(&pid)
+    }
+
+    #[inline]
+    fn adj_in(&self, r: RouterId, pid: Pid) -> &AdjCell {
+        &self.state(r).adj_in[pid as usize]
+    }
+
+    fn learn(&mut self, r: RouterId, sid: SessionId, pid: Pid, sr: StoredRoute) {
+        let state = self.state_mut(r);
+        state.adj_in[pid as usize].upsert(sr);
+        state.adj_in_by_session.entry_or_default(sid).insert(pid);
+    }
+
+    /// Leaves copy-on-write sharing intact when there is nothing to drop.
+    fn forget(&mut self, r: RouterId, sid: SessionId, pid: Pid) {
+        if self.adj_in(r, pid).get(sid.0).is_none() {
+            return;
+        }
+        let state = self.state_mut(r);
+        state.adj_in[pid as usize].remove(sid.0);
+        if let Some(set) = state.adj_in_by_session.get_mut(&sid) {
+            set.remove(pid);
+            if set.is_empty() {
+                state.adj_in_by_session.remove(&sid);
+            }
+        }
+    }
+
+    #[inline]
+    fn best(&self, r: RouterId, pid: Pid) -> Option<StoredRoute> {
+        self.state(r).loc_rib[pid as usize]
+    }
+
+    fn set_best(&mut self, r: RouterId, pid: Pid, best: Option<StoredRoute>) {
+        self.state_mut(r).loc_rib[pid as usize] = best;
+    }
+
+    #[inline]
+    fn advertised(&self, r: RouterId, sid: SessionId, pid: Pid) -> bool {
+        self.state(r)
+            .adj_out
+            .get(&sid)
+            .is_some_and(|s| s.contains(pid))
+    }
+
+    fn set_advertised(&mut self, r: RouterId, sid: SessionId, pid: Pid, on: bool) {
+        let adj_out = &mut self.state_mut(r).adj_out;
+        if on {
+            adj_out.entry_or_default(sid).insert(pid);
+        } else {
+            adj_out
+                .get_mut(&sid)
+                .expect("advertised implies an entry")
+                .remove(pid);
+        }
+    }
+}
+
+/// The BGP simulator for a whole topology.
+///
+/// The session table, prefix table and per-session policy metadata are
+/// immutable after construction and shared outright between clones; the
+/// RIBs and the path pool are copy-on-write ([`CowRib`]), so a `Bgp`
+/// clone is O(#routers) pointer bumps.
+#[derive(Clone, Debug)]
+pub struct Bgp {
+    /// The session table (public for inspection; immutable after build).
+    pub sessions: Arc<SessionTable>,
+    /// Sorted prefix table; pid = index (immutable after build).
+    prefixes: Arc<Vec<Prefix>>,
+    /// Per-session policy inputs (immutable after build).
+    sess_meta: Arc<Vec<SessMeta>>,
+    filters: ExportFilters,
     /// Message cap for one `run`, scaled with topology size.
     msg_cap: u64,
     /// Cached per-session liveness (1 = up). `None` falls back to the
@@ -487,6 +1019,9 @@ pub struct Bgp {
     /// the owner (the simulator layer) must keep it in sync with link and
     /// IGP state — a `debug_assert` cross-checks every read.
     live: Option<Vec<u8>>,
+    /// Prefixes visited by scoped replay since the last flush (batched).
+    replay_prefixes: u64,
+    rib: CowRib,
 }
 
 impl Bgp {
@@ -532,60 +1067,61 @@ impl Bgp {
             sessions,
             prefixes: Arc::new(prefixes),
             sess_meta: Arc::new(sess_meta),
-            paths: Arc::new(PathPool::new()),
-            routers: (0..topology.router_count())
-                .map(|_| Arc::new(RouterState::sized(n_prefixes)))
-                .collect(),
             filters: ExportFilters::new(),
-            queue: VecDeque::new(),
-            observer: None,
-            observed: Vec::new(),
-            seq: 0,
-            recorder: RecorderHandle::noop(),
-            trace_on: false,
-            decisions: 0,
-            cow_breaks: 0,
-            replay_prefixes: 0,
             msg_cap,
             live: None,
+            replay_prefixes: 0,
+            rib: CowRib {
+                paths: Arc::new(PathPool::new()),
+                routers: (0..topology.router_count())
+                    .map(|_| Arc::new(RouterState::sized(n_prefixes)))
+                    .collect(),
+                queue: VecDeque::new(),
+                observer: None,
+                observed: Vec::new(),
+                seq: 0,
+                recorder: RecorderHandle::noop(),
+                trace_on: false,
+                decisions: 0,
+                cow_breaks: 0,
+            },
         }
+    }
+
+    /// Splits the engine into the message plane's read-only inputs and its
+    /// copy-on-write RIB state (disjoint borrows, no refcount traffic).
+    fn split<'a>(&'a mut self, ctx: Ctx<'a>) -> (Env<'a>, &'a mut CowRib) {
+        let env = Env {
+            ctx,
+            sessions: &self.sessions,
+            sess_meta: &self.sess_meta,
+            prefixes: &self.prefixes,
+            filters: &self.filters,
+            live: self.live.as_deref(),
+            msg_cap: self.msg_cap,
+        };
+        (env, &mut self.rib)
+    }
+
+    /// Runs the decision process of `r` for `pid` and, when the best
+    /// route changed, propagates it.
+    fn decide_and_propagate(&mut self, ctx: Ctx<'_>, r: RouterId, pid: Pid) {
+        let (env, rib) = self.split(ctx);
+        if env.decide(rib, r, pid) {
+            env.propagate(rib, r, pid);
+        }
+    }
+
+    /// Re-syncs every session's Adj-RIB-Out of `r` for `pid`.
+    fn propagate(&mut self, ctx: Ctx<'_>, r: RouterId, pid: Pid) {
+        let (env, rib) = self.split(ctx);
+        env.propagate(rib, r, pid);
     }
 
     /// The pid of `prefix`, when it belongs to the engine's prefix space.
     #[inline]
     fn pid_of(&self, prefix: &Prefix) -> Option<Pid> {
         self.prefixes.binary_search(prefix).ok().map(|i| i as u32)
-    }
-
-    /// Interns `path`, returning its stable id. Breaks pool sharing only
-    /// when the path is genuinely new to this engine.
-    fn intern_path(&mut self, path: AsPath) -> u32 {
-        if let Some(&id) = self.paths.ids.get(&path) {
-            return id;
-        }
-        let pool = Arc::make_mut(&mut self.paths);
-        let id = pool.paths.len() as u32;
-        pool.ids.insert(path, id);
-        pool.paths.push(path);
-        id
-    }
-
-    /// Session liveness through the cache when present (one byte load on
-    /// the hot path), falling back to the ground-truth recomputation.
-    #[inline]
-    fn sess_up(&self, ctx: Ctx<'_>, sid: SessionId) -> bool {
-        match &self.live {
-            Some(v) => {
-                let up = v[sid.index()] != 0;
-                debug_assert_eq!(
-                    up,
-                    self.sessions.is_up(sid, ctx.topology, ctx.igp, ctx.links),
-                    "stale session-liveness cache for {sid:?}"
-                );
-                up
-            }
-            None => self.sessions.is_up(sid, ctx.topology, ctx.igp, ctx.links),
-        }
     }
 
     /// (Re)builds the session-liveness cache from link and IGP state.
@@ -643,43 +1179,33 @@ impl Bgp {
 
     /// Read access to a router's BGP state.
     fn state(&self, r: RouterId) -> &RouterState {
-        &self.routers[r.index()]
-    }
-
-    /// Write access to a router's BGP state, cloning it first when it is
-    /// still shared with another engine clone (copy-on-write break).
-    fn state_mut(&mut self, r: RouterId) -> &mut RouterState {
-        let arc = &mut self.routers[r.index()];
-        if Arc::strong_count(arc) > 1 {
-            self.cow_breaks += 1;
-        }
-        Arc::make_mut(arc)
+        self.rib.state(r)
     }
 
     /// Forces every router's state to be uniquely owned (a full deep copy),
     /// detaching this engine from any sharing. Used to benchmark the cost
     /// the CoW representation avoids.
     pub fn unshare_all(&mut self) {
-        for r in &mut self.routers {
+        for r in &mut self.rib.routers {
             Arc::make_mut(r);
         }
     }
 
     /// Designates the AS whose received eBGP messages are recorded.
     pub fn set_observer(&mut self, as_id: AsId) {
-        self.observer = Some(as_id);
+        self.rib.observer = Some(as_id);
     }
 
     /// Routes `bgp.*` metrics to `recorder` (counters flush at the end of
     /// each [`Bgp::run`]).
     pub fn set_recorder(&mut self, recorder: RecorderHandle) {
-        self.trace_on = recorder.trace_enabled();
-        self.recorder = recorder;
+        self.rib.trace_on = recorder.trace_enabled();
+        self.rib.recorder = recorder;
     }
 
     /// Drains the recorded observer messages.
     pub fn take_observed(&mut self) -> Vec<ObservedMsg> {
-        std::mem::take(&mut self.observed)
+        std::mem::take(&mut self.rib.observed)
     }
 
     /// Whether a sharded run would be observationally equivalent to the
@@ -688,7 +1214,7 @@ impl Bgp {
     /// the sequential delivery *order*, so sharding is gated off while
     /// either is attached.
     pub fn can_shard(&self) -> bool {
-        self.observer.is_none() && !self.trace_on
+        self.rib.observer.is_none() && !self.rib.trace_on
     }
 
     /// Currently installed export filters.
@@ -711,10 +1237,8 @@ impl Bgp {
             .filter(|&r| asn.routers.len() == 1 || ctx.topology.is_border_router(r))
             .collect();
         for r in originators {
-            self.state_mut(r).originated.insert(pid);
-            if self.decide(ctx, r, pid) {
-                self.propagate(ctx, r, pid);
-            }
+            self.rib.state_mut(r).originated.insert(pid);
+            self.decide_and_propagate(ctx, r, pid);
         }
     }
 
@@ -732,46 +1256,60 @@ impl Bgp {
     /// Panics if the safety cap is exceeded (policy dispute — cannot happen
     /// with the Gao-Rexford policies this workspace generates).
     pub fn run(&mut self, ctx: Ctx<'_>) -> RunStats {
-        let mut stats = RunStats::default();
-        while let Some(msg) = self.queue.pop_front() {
-            stats.messages += 1;
-            assert!(
-                stats.messages <= self.msg_cap,
-                "BGP did not converge: policy dispute?"
-            );
-            self.deliver(ctx, msg);
+        let (env, rib) = self.split(ctx);
+        let messages = env.drain(rib);
+        self.flush_counters(messages);
+        RunStats { messages }
+    }
+
+    /// Reports one run and the batched counters to the recorder.
+    fn flush_counters(&mut self, messages: u64) {
+        let rib = &mut self.rib;
+        if !rib.recorder.enabled() {
+            return;
         }
-        if self.recorder.enabled() {
-            self.recorder.add(names::BGP_RUNS, 1);
-            self.recorder.add(names::BGP_MSGS, stats.messages);
-            self.recorder.add(names::BGP_DECISIONS, self.decisions);
-            self.decisions = 0;
-            if self.cow_breaks > 0 {
-                self.recorder
-                    .add(names::SIM_SNAPSHOT_COW_BREAKS, self.cow_breaks);
-                self.cow_breaks = 0;
-            }
-            if self.replay_prefixes > 0 {
-                self.recorder
-                    .add(names::BGP_REPLAY_PREFIXES_SCOPED, self.replay_prefixes);
-                self.replay_prefixes = 0;
-            }
+        rib.recorder.add(names::BGP_RUNS, 1);
+        rib.recorder.add(names::BGP_MSGS, messages);
+        rib.recorder.add(names::BGP_DECISIONS, rib.decisions);
+        rib.decisions = 0;
+        if rib.cow_breaks > 0 {
+            rib.recorder
+                .add(names::SIM_SNAPSHOT_COW_BREAKS, rib.cow_breaks);
+            rib.cow_breaks = 0;
         }
-        stats
+        if self.replay_prefixes > 0 {
+            rib.recorder
+                .add(names::BGP_REPLAY_PREFIXES_SCOPED, self.replay_prefixes);
+            self.replay_prefixes = 0;
+        }
     }
 
     /// [`Bgp::run`] with the message plane partitioned by prefix across
-    /// `threads` workers. Callers must check [`Bgp::can_shard`] first.
+    /// `threads` workers, converging in place. Callers must check
+    /// [`Bgp::can_shard`] first.
     ///
     /// Routing toward one prefix never reads another prefix's state in
     /// this model, so the queued messages are split into contiguous pid
-    /// ranges, each range converges in an independent copy-on-write fork
-    /// of the engine, and the forks' pid columns are merged back (with
-    /// path-pool translation) in shard order. The merged fixed point is
-    /// byte-identical to the sequential run's — per-prefix state is
-    /// disjoint, and each shard's FIFO order equals the sequential
-    /// delivery order restricted to its own prefixes — and the total
-    /// message count matches exactly.
+    /// ranges and worker `k` converges range `k` directly in this
+    /// engine's tables: every router is made uniquely owned once, and each
+    /// worker borrows its own disjoint `[lo, hi)` column slices of every
+    /// router's Adj-RIB-In and Loc-RIB. Nothing is cloned per worker, no
+    /// worker touches a refcount, and there is no merge pass. What a
+    /// worker cannot write in place it keeps privately and hands back:
+    ///
+    /// * paths the engine's pool lacks go to a worker-local overflow pool
+    ///   and are interned into the engine's pool in shard order afterwards
+    ///   (so the resulting ids are the same on every run), then the ids
+    ///   stored in the worker's columns are rewritten in parallel;
+    /// * the per-session `adj_out` / `adj_in_by_session` bits of its range
+    ///   live in worker-local sets and are folded back word range by word
+    ///   range, pruning emptied `adj_in_by_session` entries as the
+    ///   sequential engine does.
+    ///
+    /// The fixed point is byte-identical to the sequential run's — each
+    /// shard's FIFO order equals the sequential delivery order restricted
+    /// to its own prefixes — and the message and decision counts match
+    /// exactly.
     pub fn run_sharded(&mut self, ctx: Ctx<'_>, threads: usize) -> RunStats {
         assert!(self.can_shard(), "sharding is gated by Bgp::can_shard");
         let n_prefixes = self.prefixes.len();
@@ -780,105 +1318,134 @@ impl Bgp {
             return self.run(ctx);
         }
         // Contiguous pid ranges: shard k owns [bounds[k], bounds[k + 1]).
-        let bounds: Vec<usize> = (0..=threads).map(|i| i * n_prefixes / threads).collect();
-        let shard_of = |pid: Pid| bounds.partition_point(|&b| b <= pid as usize) - 1;
+        let bounds: Vec<Pid> = (0..=threads)
+            .map(|i| (i * n_prefixes / threads) as Pid)
+            .collect();
         let mut queues: Vec<VecDeque<Msg>> = vec![VecDeque::new(); threads];
-        for msg in self.queue.drain(..) {
+        for msg in self.rib.queue.drain(..) {
             let pid = match msg.payload {
                 Payload::Update(rm) => rm.pid,
                 Payload::Withdraw(pid) => pid,
             };
-            queues[shard_of(pid)].push_back(msg);
+            queues[bounds.partition_point(|&b| b <= pid) - 1].push_back(msg);
         }
-        let base_paths = self.paths.paths.len();
-        // Pre-fork state pointers: a worker whose router Arc still matches
-        // never wrote to that router, so there is nothing to merge from it
-        // (comparing against `self`'s current Arcs would not work — merging
-        // an earlier shard already replaces them).
-        let base_arcs: Vec<*const RouterState> = self.routers.iter().map(Arc::as_ptr).collect();
-        let mut workers: Vec<Bgp> = queues
-            .into_iter()
-            .map(|queue| {
-                let mut w = self.clone();
-                w.queue = queue;
-                // Counters merge back explicitly below; workers must not
-                // flush them to the shared recorder mid-run.
-                w.recorder = RecorderHandle::noop();
-                w.trace_on = false;
-                w
-            })
-            .collect();
-        let stats: Vec<RunStats> = std::thread::scope(|scope| {
-            let handles: Vec<_> = workers
-                .iter_mut()
-                .map(|w| scope.spawn(move || w.run(ctx)))
-                .collect();
-            handles
+        // Own every router once: the workers then write its columns in
+        // place, and a clone of this engine keeps its own copy.
+        for r in 0..self.rib.routers.len() {
+            self.rib.state_mut(RouterId(r as u32));
+        }
+        let (env, rib) = self.split(ctx);
+        let base = rib.paths.paths.len() as u32;
+        let outs: Vec<ShardOut> = {
+            let pool: &PathPool = &rib.paths;
+            let mut shards: Vec<ShardRib<'_>> = queues
                 .into_iter()
-                .map(|h| h.join().expect("BGP shard worker panicked"))
-                .collect()
-        });
-        let mut total = RunStats::default();
-        for (k, w) in workers.into_iter().enumerate() {
-            total.messages += stats[k].messages;
-            self.decisions += w.decisions;
-            // Translate paths the worker interned after the fork point into
-            // this engine's pool, in shard order (deterministic).
-            let xlat: Vec<u32> = (base_paths..w.paths.paths.len())
-                .map(|id| self.intern_path(w.paths.paths[id]))
+                .enumerate()
+                .map(|(k, queue)| ShardRib {
+                    lo: bounds[k],
+                    bit_base: bounds[k] / 64 * 64,
+                    base,
+                    pool,
+                    overflow: PathPool::default(),
+                    queue,
+                    decisions: 0,
+                    cols: Vec::with_capacity(rib.routers.len()),
+                    bits: Vec::with_capacity(rib.routers.len()),
+                })
                 .collect();
-            let tr = move |id: u32| {
-                if (id as usize) < base_paths {
-                    id
-                } else {
-                    xlat[id as usize - base_paths]
-                }
-            };
-            let (lo, hi) = (bounds[k] as u32, bounds[k + 1] as u32);
-            for (ri, arc) in w.routers.iter().enumerate() {
-                if Arc::as_ptr(arc) == base_arcs[ri] {
-                    continue;
-                }
-                let src = Arc::clone(arc);
-                let dst = self.state_mut(RouterId(ri as u32));
-                for pid in lo..hi {
-                    let mut cell = src.adj_in[pid as usize].clone();
-                    cell.map_paths(&tr);
-                    dst.adj_in[pid as usize] = cell;
-                    dst.loc_rib[pid as usize] = src.loc_rib[pid as usize].map(|mut sr| {
-                        sr.path = tr(sr.path);
-                        sr
+            for arc in rib.routers.iter_mut() {
+                let RouterState {
+                    adj_in,
+                    originated,
+                    loc_rib,
+                    adj_out,
+                    adj_in_by_session,
+                } = Arc::get_mut(arc).expect("every router was made unique above");
+                let originated: &VecSet<Pid> = originated;
+                let mut adj_rest: &mut [AdjCell] = adj_in;
+                let mut rib_rest: &mut [Option<StoredRoute>] = loc_rib;
+                for (k, shard) in shards.iter_mut().enumerate() {
+                    let (lo, hi) = (bounds[k], bounds[k + 1]);
+                    let len = (hi - lo) as usize;
+                    let (adj_in, adj_tail) = std::mem::take(&mut adj_rest).split_at_mut(len);
+                    let (loc_rib, rib_tail) = std::mem::take(&mut rib_rest).split_at_mut(len);
+                    adj_rest = adj_tail;
+                    rib_rest = rib_tail;
+                    shard.cols.push(ShardCols {
+                        adj_in,
+                        loc_rib,
+                        originated,
+                    });
+                    shard.bits.push(ShardBits {
+                        adj_out: slice_bits(adj_out, lo, hi),
+                        adj_in_by_session: slice_bits(adj_in_by_session, lo, hi),
                     });
                 }
-                merge_bit_range(&mut dst.adj_out, &src.adj_out, lo, hi, false);
-                merge_bit_range(
-                    &mut dst.adj_in_by_session,
-                    &src.adj_in_by_session,
-                    lo,
-                    hi,
-                    true,
-                );
+            }
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = shards
+                    .into_iter()
+                    .map(|mut shard| {
+                        scope.spawn(move || {
+                            let messages = env.drain(&mut shard);
+                            ShardOut {
+                                messages,
+                                decisions: shard.decisions,
+                                overflow: shard.overflow.paths,
+                                bits: shard.bits,
+                            }
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("BGP shard worker panicked"))
+                    .collect()
+            })
+        };
+        // Intern each shard's new paths in shard order. Shard 0's come
+        // first, so its ids are already final; a later shard's need the
+        // rewrite below only when some id moved.
+        let mut xlat: Vec<Option<Vec<u32>>> = vec![None; threads];
+        if outs.iter().any(|o| !o.overflow.is_empty()) {
+            let pool = Arc::make_mut(&mut rib.paths);
+            let added: usize = outs.iter().map(|o| o.overflow.len()).sum();
+            pool.ids.reserve(added);
+            pool.paths.reserve(added);
+            for (k, out) in outs.iter().enumerate() {
+                let global: Vec<u32> = out.overflow.iter().map(|&p| pool.intern(p)).collect();
+                let moved = global
+                    .iter()
+                    .enumerate()
+                    .any(|(i, &id)| id != base + i as u32);
+                xlat[k] = moved.then_some(global);
             }
         }
-        if self.recorder.enabled() {
-            self.recorder.add(names::BGP_RUNS, 1);
-            self.recorder.add(names::BGP_MSGS, total.messages);
-            self.recorder.add(names::BGP_DECISIONS, self.decisions);
-            self.decisions = 0;
-            if self.cow_breaks > 0 {
-                self.recorder
-                    .add(names::SIM_SNAPSHOT_COW_BREAKS, self.cow_breaks);
-                self.cow_breaks = 0;
+        // Fold the bits and rewrite the path ids, one worker per
+        // contiguous run of routers (every shard's range of each).
+        let chunk = rib.routers.len().div_ceil(threads).max(1);
+        std::thread::scope(|scope| {
+            for (c, routers) in rib.routers.chunks_mut(chunk).enumerate() {
+                let (outs, xlat, bounds) = (&outs, &xlat, &bounds);
+                scope.spawn(move || {
+                    for (i, arc) in routers.iter_mut().enumerate() {
+                        let st = Arc::get_mut(arc).expect("every router was made unique above");
+                        settle_router(st, c * chunk + i, outs, xlat, bounds, base);
+                    }
+                });
             }
-        }
-        total
+        });
+        let messages = outs.iter().map(|o| o.messages).sum();
+        self.rib.decisions += outs.iter().map(|o| o.decisions).sum::<u64>();
+        self.flush_counters(messages);
+        RunStats { messages }
     }
 
     /// Materializes a stored route into the public [`Route`] shape.
     fn materialize(&self, r: RouterId, pid: Pid, sr: StoredRoute) -> Route {
         Route {
             prefix: self.prefixes[pid as usize],
-            as_path: *self.paths.get(sr.path),
+            as_path: *self.rib.paths.get(sr.path),
             egress: sr.egress,
             ebgp_link: (sr.link != NO_LINK).then_some(LinkId(sr.link)),
             local_pref: sr.local_pref,
@@ -1011,9 +1578,7 @@ impl Bgp {
             if count_scoped {
                 self.replay_prefixes += 1;
             }
-            if self.decide(ctx, r, pid) {
-                self.propagate(ctx, r, pid);
-            }
+            self.decide_and_propagate(ctx, r, pid);
         }
     }
 
@@ -1057,8 +1622,8 @@ impl Bgp {
             LinkKind::Inter => {
                 // The eBGP session is back: both ends resend their best
                 // routes (a session reset triggers a full refresh).
-                if self.trace_on {
-                    self.recorder.event(names::EV_BGP_SESSION, || {
+                if self.rib.trace_on {
+                    self.rib.recorder.event(names::EV_BGP_SESSION, || {
                         netdiag_obs::EventPayload::new()
                             .field("state", "up")
                             .field("kind", "ebgp")
@@ -1120,8 +1685,8 @@ impl Bgp {
     /// the affected prefixes at both endpoints.
     fn flush_session(&mut self, ctx: Ctx<'_>, sid: SessionId) {
         let s = *self.sessions.get(sid);
-        if self.trace_on {
-            self.recorder.event(names::EV_BGP_SESSION, || {
+        if self.rib.trace_on {
+            self.rib.recorder.event(names::EV_BGP_SESSION, || {
                 netdiag_obs::EventPayload::new()
                     .field("state", "down")
                     .field("kind", session_kind_str(s.kind))
@@ -1141,7 +1706,7 @@ impl Bgp {
             if !touched {
                 continue;
             }
-            let state = self.state_mut(r);
+            let state = self.rib.state_mut(r);
             state.adj_out.remove(&sid);
             // The replay index hands us exactly the pids learned on this
             // session (prefix-ordered), replacing a full Adj-RIB-In scan.
@@ -1154,373 +1719,238 @@ impl Bgp {
             }
             self.replay_prefixes += affected.len() as u64;
             for pid in affected {
-                if self.decide(ctx, r, pid) {
-                    self.propagate(ctx, r, pid);
-                }
+                self.decide_and_propagate(ctx, r, pid);
             }
         }
-    }
-
-    /// Delivers one message.
-    // hot
-    fn deliver(&mut self, ctx: Ctx<'_>, msg: Msg) {
-        if !self.sess_up(ctx, msg.session) {
-            return; // lost with the session
-        }
-        let meta = self.sess_meta[msg.session.index()];
-        // Observer tap: record eBGP messages arriving in the observer AS.
-        if let Some(obs) = self.observer {
-            if meta.ebgp {
-                let s = self.sessions.get(msg.session);
-                let (to_as, from_as) = if msg.to == s.a {
-                    (meta.a_as, meta.b_as)
-                } else {
-                    (meta.b_as, meta.a_as)
-                };
-                if to_as == obs {
-                    let (pid, kind) = match msg.payload {
-                        Payload::Update(rm) => (rm.pid, ObservedKind::Update),
-                        Payload::Withdraw(pid) => (pid, ObservedKind::Withdraw),
-                    };
-                    self.observed.push(ObservedMsg {
-                        at: msg.to,
-                        from: msg.from,
-                        from_as,
-                        prefix: self.prefixes[pid as usize],
-                        kind,
-                        seq: self.seq,
-                    });
-                    self.seq += 1;
-                }
-            }
-        }
-        if self.trace_on {
-            self.recorder.event(names::EV_BGP_MESSAGE, || {
-                let (msg_kind, pid) = match msg.payload {
-                    Payload::Update(rm) => ("update", rm.pid),
-                    Payload::Withdraw(pid) => ("withdraw", pid),
-                };
-                netdiag_obs::EventPayload::new()
-                    .field("kind", msg_kind)
-                    .field("session", if meta.ebgp { "ebgp" } else { "ibgp" })
-                    .field("from", msg.from.index())
-                    .field("to", msg.to.index())
-                    .field("prefix", self.prefixes[pid as usize].to_string())
-            });
-        }
-
-        let Msg {
-            session,
-            from: _,
-            to,
-            payload,
-        } = msg;
-        let pid = match payload {
-            Payload::Update(rm) => {
-                let pid = rm.pid;
-                match self.import(to, session, meta, rm) {
-                    Some(sr) => {
-                        let state = self.state_mut(to);
-                        state.adj_in[pid as usize].upsert(sr);
-                        state
-                            .adj_in_by_session
-                            .entry_or_default(session)
-                            .insert(pid);
-                    }
-                    None => {
-                        // Loop-rejected update acts as a withdraw of any
-                        // previous route on the session.
-                        self.remove_adj_in(to, pid, session);
-                    }
-                }
-                pid
-            }
-            Payload::Withdraw(pid) => {
-                self.remove_adj_in(to, pid, session);
-                pid
-            }
-        };
-        if self.decide(ctx, to, pid) {
-            self.propagate(ctx, to, pid);
-        }
-    }
-
-    /// Drops the route learned for `pid` on `session` at `to`, if any,
-    /// without breaking copy-on-write when there is nothing to drop.
-    fn remove_adj_in(&mut self, to: RouterId, pid: Pid, session: SessionId) {
-        let present = self.state(to).adj_in[pid as usize].get(session.0).is_some();
-        if present {
-            let state = self.state_mut(to);
-            state.adj_in[pid as usize].remove(session.0);
-            if let Some(set) = state.adj_in_by_session.get_mut(&session) {
-                set.remove(pid);
-                if set.is_empty() {
-                    state.adj_in_by_session.remove(&session);
-                }
-            }
-        }
-    }
-
-    /// Converts an incoming update into a stored route (import policy).
-    /// Returns `None` when the route is loop-rejected.
-    fn import(
-        &self,
-        to: RouterId,
-        session: SessionId,
-        meta: SessMeta,
-        rm: RouteMsg,
-    ) -> Option<StoredRoute> {
-        let s = self.sessions.get(session);
-        match s.kind {
-            SessionKind::Ebgp { link } => {
-                let (my_as, rel) = if to == s.a {
-                    (meta.a_as, meta.rel_at_a)
-                } else {
-                    (meta.b_as, meta.rel_at_b)
-                };
-                if self.paths.get(rm.path).contains(&my_as) {
-                    return None;
-                }
-                Some(StoredRoute {
-                    path: rm.path,
-                    egress: to,
-                    link: link.0,
-                    session: session.0,
-                    local_pref: local_pref_for(rel),
-                    path_len: rm.path_len,
-                    source: pack_source(RouteSource::External(rel)),
-                    ebgp: 1,
-                })
-            }
-            SessionKind::Ibgp => Some(StoredRoute {
-                path: rm.path,
-                egress: rm.egress,
-                link: NO_LINK,
-                session: session.0,
-                local_pref: rm.local_pref,
-                path_len: rm.path_len,
-                source: rm.source,
-                ebgp: 0,
-            }),
-        }
-    }
-
-    /// Recomputes the best route of `r` for `pid`. Returns true when the
-    /// Loc-RIB entry changed.
-    // hot
-    fn decide(&mut self, ctx: Ctx<'_>, r: RouterId, pid: Pid) -> bool {
-        self.decisions += 1;
-        let state = &self.routers[r.index()];
-        let best: Option<StoredRoute> = if state.originated.contains(&pid) {
-            Some(StoredRoute::originated(r))
-        } else {
-            let as_igp = ctx.igp.of(ctx.topology.as_of_router(r));
-            state.adj_in[pid as usize]
-                .iter()
-                .filter(|sr| {
-                    self.sess_up(ctx, SessionId(sr.session))
-                        && (sr.ebgp != 0 || as_igp.reachable(r, sr.egress))
-                })
-                .max_by_key(|sr| {
-                    let igp_dist = if sr.egress == r {
-                        0
-                    } else {
-                        as_igp.dist(r, sr.egress).expect("filtered reachable")
-                    };
-                    let neighbor = self
-                        .sessions
-                        .get(SessionId(sr.session))
-                        .other(r)
-                        .expect("a stored session has the owning router as an endpoint")
-                        .0;
-                    (
-                        sr.local_pref,
-                        std::cmp::Reverse(sr.path_len),
-                        sr.ebgp != 0,
-                        std::cmp::Reverse(igp_dist),
-                        std::cmp::Reverse(neighbor),
-                        std::cmp::Reverse(sr.session),
-                    )
-                })
-                .copied()
-        };
-
-        // Only take write access when the entry actually changes, so a
-        // no-op re-decision (the common case in `refresh_as` and in
-        // withdraw storms that leave the best route alone) keeps the
-        // router's state shared.
-        if self.routers[r.index()].loc_rib[pid as usize] == best {
-            return false;
-        }
-        self.state_mut(r).loc_rib[pid as usize] = best;
-        true
-    }
-
-    /// Synchronizes every session's Adj-RIB-Out with the current best route
-    /// of `r` for `pid`, queueing updates/withdraws.
-    // hot
-    fn propagate(&mut self, ctx: Ctx<'_>, r: RouterId, pid: Pid) {
-        let best: Option<StoredRoute> = self.state(r).loc_rib[pid as usize];
-        let sessions = Arc::clone(&self.sessions);
-        // The eBGP prepend is identical for every peer of `r`; intern it
-        // once, lazily, per propagate.
-        let mut prepended: Option<(u32, u8)> = None;
-        for &sid in sessions.of_router(r) {
-            if !self.sess_up(ctx, sid) {
-                continue;
-            }
-            let session = *sessions.get(sid);
-            let peer = session
-                .other(r)
-                .expect("sid comes from r's session table, so r is an endpoint");
-            let advertise: Option<RouteMsg> = match best {
-                Some(b) => self.export(r, peer, session, pid, b, &mut prepended),
-                None => None,
-            };
-            let had = self
-                .state(r)
-                .adj_out
-                .get(&sid)
-                .is_some_and(|s| s.contains(pid));
-            match advertise {
-                Some(rm) => {
-                    if !had {
-                        self.state_mut(r).adj_out.entry_or_default(sid).insert(pid);
-                    }
-                    self.queue.push_back(Msg {
-                        session: sid,
-                        from: r,
-                        to: peer,
-                        payload: Payload::Update(rm),
-                    });
-                }
-                None if had => {
-                    self.state_mut(r)
-                        .adj_out
-                        .get_mut(&sid)
-                        .expect("had implies entry")
-                        .remove(pid);
-                    self.queue.push_back(Msg {
-                        session: sid,
-                        from: r,
-                        to: peer,
-                        payload: Payload::Withdraw(pid),
-                    });
-                }
-                None => {}
-            }
-        }
-    }
-
-    /// Export policy: what (if anything) `r` advertises for its best route
-    /// `b` to `peer` over the given session. Takes `&mut self` to intern
-    /// the prepended AS path (cached in `prepended` across one propagate).
-    fn export(
-        &mut self,
-        r: RouterId,
-        peer: RouterId,
-        session: Session,
-        pid: Pid,
-        b: StoredRoute,
-        prepended: &mut Option<(u32, u8)>,
-    ) -> Option<RouteMsg> {
-        let meta = self.sess_meta[session.id.index()];
-        if !meta.ebgp {
-            // Standard iBGP: only eBGP-learned and originated routes are
-            // re-advertised internally (no reflection of iBGP routes).
-            if !(b.ebgp != 0 || b.source == SRC_ORIGINATED) {
-                return None;
-            }
-            return Some(RouteMsg {
-                pid,
-                path: b.path,
-                path_len: b.path_len,
-                local_pref: b.local_pref,
-                egress: r,
-                source: b.source,
-            });
-        }
-        let (my_as, peer_as, rel) = if r == session.a {
-            (meta.a_as, meta.b_as, meta.rel_at_a)
-        } else {
-            (meta.b_as, meta.a_as, meta.rel_at_b)
-        };
-        if !unpack_source(b.source).exportable_to(rel) {
-            return None;
-        }
-        if self.paths.get(b.path).contains(&peer_as) {
-            return None; // AS-level split horizon
-        }
-        if b.session == session.id.0 {
-            return None; // never echo a route back on its session
-        }
-        if self.filters.is_denied(r, peer, self.prefixes[pid as usize]) {
-            return None; // misconfiguration
-        }
-        let (path, path_len) = match *prepended {
-            Some(v) => v,
-            None => {
-                let new_path = self.paths.get(b.path).prepended(my_as);
-                let v = (self.intern_path(new_path), b.path_len + 1);
-                *prepended = Some(v);
-                v
-            }
-        };
-        Some(RouteMsg {
-            pid,
-            path,
-            path_len,
-            local_pref: 0,
-            egress: r,
-            source: b.source,
-        })
     }
 }
 
-/// Copies the `[lo, hi)` bit range of every per-session pid set in `src`
-/// over the corresponding range in `dst` (shard merge: the worker only
-/// ever modified bits inside its own range). When `prune_empty`, entries
-/// left empty are removed — matching the sequential engine's maintenance
-/// of `adj_in_by_session`, which never retains an empty entry.
-fn merge_bit_range(
+/// One router's columns for a shard's pid range, borrowed in place.
+struct ShardCols<'a> {
+    /// Adj-RIB-In cells for pids `[lo, hi)`.
+    adj_in: &'a mut [AdjCell],
+    /// Loc-RIB entries for pids `[lo, hi)`.
+    loc_rib: &'a mut [Option<StoredRoute>],
+    /// Pids the router originates (read-only during a run).
+    originated: &'a VecSet<Pid>,
+}
+
+/// One router's per-session bits for a shard's pid range, held by the
+/// worker and folded back after the run. Bit `i` stands for pid
+/// `bit_base + i`.
+struct ShardBits {
+    adj_out: VecMap<SessionId, PidSet>,
+    adj_in_by_session: VecMap<SessionId, PidSet>,
+}
+
+/// One worker's in-place view of a sharded run: every router's columns
+/// for the pids in `[lo, hi)`, borrowed straight out of the engine.
+struct ShardRib<'a> {
+    /// First pid of the shard.
+    lo: Pid,
+    /// `lo` rounded down to a word boundary: the pid of local bit 0.
+    bit_base: Pid,
+    /// Size of the engine's path pool when the run began.
+    base: u32,
+    /// The engine's path pool (read-only while the workers run).
+    pool: &'a PathPool,
+    /// Paths the pool lacked; id `base + i` names `overflow.paths[i]`.
+    overflow: PathPool,
+    queue: VecDeque<Msg>,
+    decisions: u64,
+    /// Indexed by router.
+    cols: Vec<ShardCols<'a>>,
+    /// Indexed by router.
+    bits: Vec<ShardBits>,
+}
+
+/// What a shard worker hands back after its run.
+struct ShardOut {
+    messages: u64,
+    decisions: u64,
+    /// The overflow paths, in local-id order.
+    overflow: Vec<AsPath>,
+    bits: Vec<ShardBits>,
+}
+
+impl Rib for ShardRib<'_> {
+    #[inline]
+    fn next_msg(&mut self) -> Option<Msg> {
+        self.queue.pop_front()
+    }
+
+    #[inline]
+    fn send(&mut self, msg: Msg) {
+        self.queue.push_back(msg);
+    }
+
+    #[inline]
+    fn count_decision(&mut self) {
+        self.decisions += 1;
+    }
+
+    #[inline]
+    fn path(&self, id: u32) -> &AsPath {
+        match id.checked_sub(self.base) {
+            Some(i) => self.overflow.get(i),
+            None => self.pool.get(id),
+        }
+    }
+
+    fn intern(&mut self, path: AsPath) -> u32 {
+        match self.pool.id_of(&path) {
+            Some(id) => id,
+            None => self.base + self.overflow.intern(path),
+        }
+    }
+
+    #[inline]
+    fn originates(&self, r: RouterId, pid: Pid) -> bool {
+        self.cols[r.index()].originated.contains(&pid)
+    }
+
+    #[inline]
+    fn adj_in(&self, r: RouterId, pid: Pid) -> &AdjCell {
+        &self.cols[r.index()].adj_in[(pid - self.lo) as usize]
+    }
+
+    fn learn(&mut self, r: RouterId, sid: SessionId, pid: Pid, sr: StoredRoute) {
+        self.cols[r.index()].adj_in[(pid - self.lo) as usize].upsert(sr);
+        self.bits[r.index()]
+            .adj_in_by_session
+            .entry_or_default(sid)
+            .insert(pid - self.bit_base);
+    }
+
+    /// Keeps an emptied local set: the fold must still clear the range.
+    fn forget(&mut self, r: RouterId, sid: SessionId, pid: Pid) {
+        if !self.cols[r.index()].adj_in[(pid - self.lo) as usize].remove(sid.0) {
+            return;
+        }
+        if let Some(set) = self.bits[r.index()].adj_in_by_session.get_mut(&sid) {
+            set.remove(pid - self.bit_base);
+        }
+    }
+
+    #[inline]
+    fn best(&self, r: RouterId, pid: Pid) -> Option<StoredRoute> {
+        self.cols[r.index()].loc_rib[(pid - self.lo) as usize]
+    }
+
+    #[inline]
+    fn set_best(&mut self, r: RouterId, pid: Pid, best: Option<StoredRoute>) {
+        self.cols[r.index()].loc_rib[(pid - self.lo) as usize] = best;
+    }
+
+    #[inline]
+    fn advertised(&self, r: RouterId, sid: SessionId, pid: Pid) -> bool {
+        self.bits[r.index()]
+            .adj_out
+            .get(&sid)
+            .is_some_and(|s| s.contains(pid - self.bit_base))
+    }
+
+    fn set_advertised(&mut self, r: RouterId, sid: SessionId, pid: Pid, on: bool) {
+        let bit = pid - self.bit_base;
+        let adj_out = &mut self.bits[r.index()].adj_out;
+        if on {
+            adj_out.entry_or_default(sid).insert(bit);
+        } else {
+            adj_out
+                .get_mut(&sid)
+                .expect("advertised implies an entry")
+                .remove(bit);
+        }
+    }
+}
+
+/// Folds every shard's per-session bits for router `ri` into its state
+/// and rewrites the path ids each shard with a translation (`xlat[k]`,
+/// indexed by `id - base`) stored in its columns.
+fn settle_router(
+    st: &mut RouterState,
+    ri: usize,
+    outs: &[ShardOut],
+    xlat: &[Option<Vec<u32>>],
+    bounds: &[Pid],
+    base: u32,
+) {
+    for (k, out) in outs.iter().enumerate() {
+        let (lo, hi) = (bounds[k], bounds[k + 1]);
+        let bits = &out.bits[ri];
+        fold_bits(&mut st.adj_out, &bits.adj_out, lo, hi, false);
+        fold_bits(
+            &mut st.adj_in_by_session,
+            &bits.adj_in_by_session,
+            lo,
+            hi,
+            true,
+        );
+        let Some(ids) = &xlat[k] else { continue };
+        let tr = |id: u32| id.checked_sub(base).map_or(id, |i| ids[i as usize]);
+        let range = lo as usize..hi as usize;
+        for cell in &mut st.adj_in[range.clone()] {
+            cell.map_paths(tr);
+        }
+        for sr in st.loc_rib[range].iter_mut().flatten() {
+            sr.path = tr(sr.path);
+        }
+    }
+}
+
+/// The bits of word `w` that stand for pids in `[lo, hi)`.
+fn range_mask(w: usize, lo: Pid, hi: Pid) -> u64 {
+    let first = w as u32 * 64;
+    let a = lo.saturating_sub(first).min(64);
+    let b = hi.saturating_sub(first).min(64);
+    if a >= b {
+        0
+    } else {
+        (u64::MAX >> (64 - (b - a))) << a
+    }
+}
+
+/// A shard's starting copy of the per-session sets: the bits of pids in
+/// `[lo, hi)`, re-based so local bit 0 is pid `lo / 64 * 64`. Sessions
+/// with no bit in the range get no entry.
+fn slice_bits(src: &VecMap<SessionId, PidSet>, lo: Pid, hi: Pid) -> VecMap<SessionId, PidSet> {
+    let words = (lo / 64) as usize..hi.div_ceil(64) as usize;
+    let mut out = VecMap::default();
+    for (&sid, set) in src {
+        let words: Vec<u64> = words
+            .clone()
+            .map(|w| set.words.get(w).copied().unwrap_or(0) & range_mask(w, lo, hi))
+            .collect();
+        let count = words.iter().map(|w| w.count_ones()).sum();
+        if count > 0 {
+            out.insert(sid, PidSet { words, count });
+        }
+    }
+    out
+}
+
+/// Folds a shard's sets (from [`slice_bits`], then written by the worker)
+/// back over the `[lo, hi)` bits of the engine's sets. A session the shard
+/// holds no entry for had no bit in the range before the run and gained
+/// none. With `prune`, sets left empty are removed, as the sequential
+/// engine keeps no empty `adj_in_by_session` entry; without it an entry the
+/// shard created stays even when empty, as `adj_out`'s do.
+fn fold_bits(
     dst: &mut VecMap<SessionId, PidSet>,
     src: &VecMap<SessionId, PidSet>,
     lo: Pid,
     hi: Pid,
-    prune_empty: bool,
+    prune: bool,
 ) {
-    let mut emptied: Vec<SessionId> = Vec::new();
-    for (&sid, set) in src.iter() {
+    let w0 = (lo / 64) as usize;
+    for (&sid, set) in src {
         let d = dst.entry_or_default(sid);
-        for pid in lo..hi {
-            if set.contains(pid) {
-                d.insert(pid);
-            } else {
-                d.remove(pid);
-            }
+        for (i, &bits) in set.words.iter().enumerate() {
+            d.splice_word(w0 + i, bits, range_mask(w0 + i, lo, hi));
         }
-        if prune_empty && d.is_empty() {
-            emptied.push(sid);
+        if prune && d.is_empty() {
+            dst.remove(&sid);
         }
-    }
-    // Sessions the worker dropped entirely (its range emptied out): clear
-    // our copy of that range too.
-    let gone: Vec<SessionId> = dst
-        .keys()
-        .filter(|sid| !src.contains_key(sid))
-        .copied()
-        .collect();
-    for sid in gone {
-        let d = dst.get_mut(&sid).expect("key collected from dst");
-        for pid in lo..hi {
-            d.remove(pid);
-        }
-        if prune_empty && d.is_empty() {
-            emptied.push(sid);
-        }
-    }
-    for sid in emptied {
-        dst.remove(&sid);
     }
 }
 
@@ -1529,5 +1959,124 @@ fn session_kind_str(kind: SessionKind) -> &'static str {
     match kind {
         SessionKind::Ebgp { .. } => "ebgp",
         SessionKind::Ibgp => "ibgp",
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use netdiag_topology::gen::{generate, GenConfig};
+
+    /// A route with its path id resolved, so engines whose pools assigned
+    /// ids in different orders compare by content.
+    type Resolved = (AsPath, StoredRoute);
+
+    /// One router's tables: Loc-RIB, Adj-RIB-In cells in stored order,
+    /// and the `adj_out` / `adj_in_by_session` sets (entries and bits).
+    type RouterDump = (
+        Vec<Option<Resolved>>,
+        Vec<Vec<Resolved>>,
+        Vec<(SessionId, Vec<Pid>)>,
+        Vec<(SessionId, Vec<Pid>)>,
+    );
+
+    fn dump(bgp: &Bgp) -> Vec<RouterDump> {
+        let resolve =
+            |sr: &StoredRoute| (*bgp.rib.paths.get(sr.path), StoredRoute { path: 0, ..*sr });
+        let sets = |m: &VecMap<SessionId, PidSet>| -> Vec<(SessionId, Vec<Pid>)> {
+            m.iter()
+                .map(|(&sid, set)| (sid, set.iter().collect()))
+                .collect()
+        };
+        bgp.rib
+            .routers
+            .iter()
+            .map(|st| {
+                (
+                    st.loc_rib
+                        .iter()
+                        .map(|slot| slot.as_ref().map(resolve))
+                        .collect(),
+                    st.adj_in
+                        .iter()
+                        .map(|c| c.iter().map(resolve).collect())
+                        .collect(),
+                    sets(&st.adj_out),
+                    sets(&st.adj_in_by_session),
+                )
+            })
+            .collect()
+    }
+
+    /// The sharded run must leave *every* table as the sequential run
+    /// does, including the per-session sets a Loc-RIB comparison cannot
+    /// see: which `adj_out` entries exist (even empty ones) and that no
+    /// emptied `adj_in_by_session` entry survives the fold. Checked on a
+    /// fresh convergence and on a reconvergence after eBGP failures, where
+    /// the shards start from converged state and withdraw routes. With
+    /// only every third AS originating, sessions carry few prefixes, so
+    /// border routers' `adj_out` entries are first created inside the
+    /// shards and withdrawals empty whole `adj_in_by_session` entries.
+    #[test]
+    fn sharded_runs_leave_every_table_as_the_sequential_run_does() {
+        let topology = generate(&GenConfig::new(120, 9))
+            .expect("generated topology builds")
+            .topology;
+        let links = LinkState::all_up(&topology);
+        let igp = Igp::compute(&topology, &links);
+        let failed: Vec<LinkId> = topology
+            .links()
+            .iter()
+            .filter(|l| l.kind == LinkKind::Inter)
+            .step_by(5)
+            .take(10)
+            .map(|l| l.id)
+            .collect();
+        let mut down = links.clone();
+        for &l in &failed {
+            down.set_down(l);
+        }
+        let (ctx, ctx_down) = (
+            Ctx {
+                topology: &topology,
+                igp: &igp,
+                links: &links,
+            },
+            Ctx {
+                topology: &topology,
+                igp: &igp,
+                links: &down,
+            },
+        );
+        // Converge with every `step`-th AS originating, then fail the
+        // links and reconverge, both on `threads` shards.
+        let scenario = |step: usize, threads: usize| {
+            let mut bgp = Bgp::new(&topology);
+            for a in (0..topology.as_count()).step_by(step) {
+                bgp.originate_as(ctx, AsId(a as u32));
+            }
+            let converged = bgp.run_sharded(ctx, threads);
+            let converged_dump = dump(&bgp);
+            for &l in &failed {
+                bgp.handle_link_down(ctx_down, l);
+            }
+            let reconverged = bgp.run_sharded(ctx_down, threads);
+            (converged, converged_dump, reconverged, dump(&bgp))
+        };
+        for step in [1, 3] {
+            let (seq, seq_dump, seq_failed, seq_failed_dump) = scenario(step, 1);
+            assert!(seq_failed.messages > 0, "the failures changed nothing");
+            for threads in [2, 3, 7] {
+                let (par, par_dump, par_failed, par_failed_dump) = scenario(step, threads);
+                let what = format!("step {step}, {threads} shards");
+                assert_eq!(par, seq, "{what}");
+                assert!(par_dump == seq_dump, "{what}: tables differ");
+                assert_eq!(par_failed, seq_failed, "{what}, after failures");
+                assert!(
+                    par_failed_dump == seq_failed_dump,
+                    "{what}, after failures: tables differ"
+                );
+            }
+        }
     }
 }

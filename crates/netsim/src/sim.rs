@@ -199,12 +199,15 @@ impl Sim {
         self.converge_for(&ids);
     }
 
-    /// [`Sim::converge_all`] with the BGP message plane sharded over a
-    /// worker pool. Routing toward one prefix never reads another
-    /// prefix's state in this model, so partitioning the prefix space
-    /// and converging each shard independently reaches the same fixed
-    /// point as the sequential run — asserted byte-identical by the
-    /// equivalence tests. Falls back to the sequential path when
+    /// [`Sim::converge_all`] with the BGP message plane sharded over
+    /// `threads` workers ([`Bgp::run_sharded`]). Routing toward one prefix
+    /// never reads another prefix's state in this model, so each worker
+    /// converges its own contiguous prefix range in place, in this
+    /// simulator's own tables, and reaches the same fixed point as the
+    /// sequential run — Loc-RIBs, message and decision counts asserted
+    /// identical by `tests/gen_convergence.rs`. A clone of this simulator
+    /// is unaffected: every router leaves copy-on-write sharing before
+    /// the workers start. Falls back to the sequential path when
     /// `threads <= 1` or when an observer / tracer is attached (their
     /// event streams are defined by the sequential delivery order).
     pub fn converge_all_sharded(&mut self, threads: usize) {

@@ -9,36 +9,179 @@
 use std::sync::Arc;
 
 use netdiag_netsim::Sim;
+use netdiag_obs::{names, LiveRecorder, RecorderHandle};
 use netdiag_topology::gen::{generate, GenConfig};
-use netdiag_topology::PeerKind;
+use netdiag_topology::{AsId, LinkId, PeerKind, Prefix, Topology};
 
-/// Sequential vs. parallel-IGP + sharded-BGP convergence of the same
-/// 200-AS generated internet. "Same fixed point" is not enough: the
-/// merge logic in `Bgp::run_sharded` promises the *exact* state the
-/// sequential run produces, so the full Loc-RIB of every router —
-/// paths, egresses, learned-from sessions, local-prefs — and the total
-/// message count must match field for field.
-#[test]
-fn sharded_convergence_is_byte_identical_to_sequential() {
-    let cfg = GenConfig::new(200, 7);
-    let topology = Arc::new(generate(&cfg).unwrap().topology);
+fn internet(ases: usize, seed: u64) -> Arc<Topology> {
+    Arc::new(generate(&GenConfig::new(ases, seed)).unwrap().topology)
+}
 
-    let mut seq = Sim::new(Arc::clone(&topology));
-    seq.converge_all();
+/// A simulator reporting to its own live recorder. Asserts the engine
+/// really shards: a silent fallback to the sequential path would make
+/// every sharded-vs-sequential comparison below vacuous.
+fn recorded(topology: &Arc<Topology>) -> (Sim, Arc<LiveRecorder>) {
+    let (handle, live) = RecorderHandle::live();
+    let sim = Sim::with_recorder(Arc::clone(topology), handle);
+    assert!(
+        sim.bgp().can_shard(),
+        "a live recorder must not gate sharding off"
+    );
+    (sim, live)
+}
 
-    let mut par = Sim::new_parallel(Arc::clone(&topology), 3);
-    par.converge_all_sharded(3);
+/// `bgp.msgs`, `bgp.decisions` and copy-on-write breaks as the recorder
+/// saw them. A failure breaks sharing only at routers whose session
+/// tables name the failed session, so the break count also tells a
+/// stale empty `adj_in_by_session` entry apart from a pruned one.
+fn work(live: &LiveRecorder) -> (u64, u64, u64) {
+    let report = live.snapshot();
+    (
+        report.counter(names::BGP_MSGS),
+        report.counter(names::BGP_DECISIONS),
+        report.counter(names::SIM_SNAPSHOT_COW_BREAKS),
+    )
+}
 
+/// Every router's full Loc-RIB — paths, egresses, learned-from sessions,
+/// local-prefs — in router order.
+fn ribs(sim: &Sim) -> Vec<Vec<(Prefix, netdiag_bgp::Route)>> {
+    sim.topology()
+        .routers()
+        .iter()
+        .map(|r| sim.bgp().loc_rib(r.id).collect())
+        .collect()
+}
+
+fn assert_same_state(seq: &Sim, par: &Sim, what: &str) {
     assert_eq!(
         seq.bgp_messages(),
         par.bgp_messages(),
-        "sharding must not create or suppress messages"
+        "{what}: sharding must not create or suppress messages"
     );
-    for r in topology.routers() {
-        let a: Vec<_> = seq.bgp().loc_rib(r.id).collect();
-        let b: Vec<_> = par.bgp().loc_rib(r.id).collect();
-        assert_eq!(a, b, "Loc-RIB of router {:?} diverged", r.id);
+    for (r, (a, b)) in ribs(seq).iter().zip(ribs(par)).enumerate() {
+        assert_eq!(*a, b, "{what}: Loc-RIB of router {r} diverged");
     }
+}
+
+/// Sequential vs. sharded convergence of the same 200-AS generated
+/// internet, at several widths. "Same fixed point" is not enough:
+/// `Bgp::run_sharded` converges each pid range in place and promises
+/// the *exact* state the sequential run produces, so the full Loc-RIB
+/// of every router, the total message count and the recorded message
+/// and decision counters must all match. Width 3 and 7 put shard
+/// bounds inside 64-bit words (66, 133; 28, 57, ...), so two shards
+/// fold bits into the same word.
+#[test]
+fn sharded_convergence_is_byte_identical_to_sequential() {
+    let topology = internet(200, 7);
+    let (mut seq, seq_live) = recorded(&topology);
+    seq.converge_all();
+    let seq_work = work(&seq_live);
+    assert!(seq_work.0 > 0 && seq_work.1 > 0, "{seq_work:?}");
+
+    for threads in [2, 3, 4, 7] {
+        let (mut par, par_live) = recorded(&topology);
+        par.converge_all_sharded(threads);
+        assert_same_state(&seq, &par, &format!("{threads} shards"));
+        assert_eq!(
+            work(&par_live),
+            seq_work,
+            "{threads} shards: recorded work differs from the sequential run"
+        );
+    }
+
+    // The parallel-IGP constructor feeds the same engine.
+    let mut par = Sim::new_parallel(Arc::clone(&topology), 3);
+    par.converge_all_sharded(3);
+    assert_same_state(&seq, &par, "new_parallel + 3 shards");
+}
+
+/// A toy internet with fewer prefixes than workers: the width clamps to
+/// one prefix per shard, and every shard bound (1, 2, ...) falls inside
+/// the same 64-bit word of every per-session bitset.
+#[test]
+fn more_workers_than_prefixes_still_matches_sequential() {
+    let topology = internet(12, 5);
+    assert!(topology.as_count() < 16);
+    let (mut seq, seq_live) = recorded(&topology);
+    seq.converge_all();
+    let (mut par, par_live) = recorded(&topology);
+    par.converge_all_sharded(16);
+    assert_same_state(&seq, &par, "16 workers over 12 prefixes");
+    assert_eq!(work(&par_live), work(&seq_live));
+    let full = topology.router_count() * topology.as_count();
+    assert_eq!(ribs(&par).iter().map(Vec::len).sum::<usize>(), full);
+}
+
+/// The sharded run writes the engine's tables in place, so every router
+/// it touches must first leave copy-on-write sharing: a clone taken
+/// before the run — here of a partly converged simulator, so the shared
+/// state is not empty — must come out unchanged.
+#[test]
+fn sharded_run_leaves_a_live_clone_untouched() {
+    let topology = internet(150, 11);
+    let mut sim = Sim::new(Arc::clone(&topology));
+    sim.converge_for(&[AsId(0), AsId(40), AsId(149)]);
+    let clone = sim.clone();
+    let before = ribs(&clone);
+    let messages_before = clone.bgp_messages();
+
+    let mut seq = sim.clone();
+    seq.converge_all();
+    sim.converge_all_sharded(3);
+
+    assert_eq!(ribs(&clone), before, "the clone's RIBs changed");
+    assert_eq!(clone.bgp_messages(), messages_before);
+    assert_same_state(
+        &seq,
+        &sim,
+        "sharded on top of a shared, partly converged engine",
+    );
+}
+
+/// Loc-RIB equality does not cover the per-session `adj_out` and
+/// `adj_in_by_session` bitsets the sharded run folds back, but a later
+/// failure reads both: withdrawals go out only where `adj_out` says a
+/// route was advertised, and a session flush replays exactly the pids
+/// `adj_in_by_session` lists. So fail and repair the same links on a
+/// sequentially and a sharded converged simulator, then restore and fail
+/// again: RIBs and the recorded work must keep matching.
+#[test]
+fn failures_after_sharded_convergence_match_sequential() {
+    let topology = internet(200, 7);
+    let (mut seq, seq_live) = recorded(&topology);
+    seq.converge_all();
+    let (mut par, par_live) = recorded(&topology);
+    par.converge_all_sharded(3);
+    let (seq_snap, par_snap) = (seq.snapshot(), par.snapshot());
+
+    let links: Vec<LinkId> = topology.links().iter().map(|l| l.id).collect();
+    let first: Vec<LinkId> = links.iter().copied().step_by(37).take(6).collect();
+    let second: Vec<LinkId> = links.iter().copied().skip(5).step_by(23).take(8).collect();
+
+    seq.fail_links(&first);
+    par.fail_links(&first);
+    assert_same_state(&seq, &par, "after the first failure set");
+    assert_eq!(
+        work(&par_live),
+        work(&seq_live),
+        "after the first failure set"
+    );
+
+    for &l in &first {
+        seq.repair_link(l);
+        par.repair_link(l);
+    }
+    assert_same_state(&seq, &par, "after repairing the first set");
+
+    seq.restore(&seq_snap);
+    par.restore(&par_snap);
+    assert_same_state(&seq, &par, "after restore");
+    seq.fail_links(&second);
+    par.fail_links(&second);
+    assert_same_state(&seq, &par, "after the second failure set");
+    assert_eq!(work(&par_live), work(&seq_live), "overall");
 }
 
 /// Every AS path selected anywhere in a converged 200-AS generated

@@ -46,7 +46,8 @@ pub enum Lint {
     /// `lock-across-blocking`: a `Mutex`/`RwLock` guard held across a
     /// blocking call (`.recv()`, socket/file I/O, `JoinHandle::join`).
     LockAcrossBlocking,
-    /// `hot-alloc`: an allocation inside a `// hot` function or a
+    /// `hot-alloc`: an allocation or a shared refcount bump
+    /// (`Arc::clone`/`Rc::clone`) inside a `// hot` function or a
     /// function it calls directly.
     HotAlloc,
     /// `layering`: a `use` that violates the crate DAG.
@@ -157,7 +158,9 @@ impl Lint {
             Lint::HotAlloc => {
                 "allocation in a `// hot` function (or a direct callee) is a \
                  per-iteration cost the benchmarks gate on; preallocate or \
-                 reuse scratch buffers"
+                 reuse scratch buffers. A refcount bump there is an atomic \
+                 write every thread sharing the pointer makes to one cache \
+                 line; re-borrow instead"
             }
             Lint::Layering => {
                 "the crate DAG is topology → igp/bgp → netsim → core → \

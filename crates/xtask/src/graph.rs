@@ -11,7 +11,8 @@
 //!   socket/file I/O, `JoinHandle::join`) — directly or through one
 //!   resolved call — is flagged too.
 //! * **hot-alloc** — functions marked `// hot` and their directly
-//!   resolved callees must not allocate.
+//!   resolved callees must not allocate, nor bump a shared refcount
+//!   (`Arc::clone` / `Rc::clone`).
 //! * **layering** — `use` roots must respect the crate DAG.
 //!
 //! Approximations (see DESIGN.md §10): lock identity is by declared
@@ -657,6 +658,11 @@ const ALLOC_PATH_CTORS: [(&str, &str); 17] = [
     ("Rc", "new"),
 ];
 
+/// Shared-pointer types whose `Type::clone(&p)` bumps a refcount: an
+/// atomic write to one cache line that every holder of the pointer —
+/// every engine clone, on every core — writes too.
+const REFCOUNT_TYPES: [&str; 2] = ["Arc", "Rc"];
+
 /// `.method(` forms that allocate.
 const ALLOC_METHODS: [&str; 5] = ["to_vec", "to_string", "to_owned", "clone", "collect"];
 
@@ -741,6 +747,20 @@ fn alloc_scan(
             ),
         );
     };
+    let report_refcount = |out: &mut Vec<Finding>, line: usize, ty: &str| {
+        unit.prepared.push(
+            out,
+            Lint::HotAlloc,
+            line,
+            format!(
+                "`{ty}::clone(..)` in {context} writes a refcount shared with \
+                 every other holder of the pointer, so threads working on \
+                 clones of one engine contend for its cache line; re-borrow \
+                 the pointee instead, or justify with \
+                 `// lint: allow(hot-alloc): <why>`"
+            ),
+        );
+    };
     let mut j = open + 1;
     while j < hi {
         let t = &toks[j];
@@ -754,8 +774,7 @@ fn alloc_scan(
             continue;
         }
         if t.kind == TokKind::Ident {
-            // `Type::ctor(` — but `Arc::clone(&x)` is the sanctioned
-            // refcount bump, handled by the path table not listing it.
+            // `Type::ctor(`, and `Arc::clone(` / `Rc::clone(`.
             if toks.get(j + 1).is_some_and(|n| n.is_punct(':'))
                 && toks.get(j + 2).is_some_and(|n| n.is_punct(':'))
                 && toks.get(j + 4).is_some_and(|n| n.is_punct('('))
@@ -764,6 +783,11 @@ fn alloc_scan(
                     for (ty, ctor) in ALLOC_PATH_CTORS {
                         if t.is_ident(ty) && m.is_ident(ctor) {
                             report(out, t.line, &format!("`{ty}::{ctor}(..)`"));
+                        }
+                    }
+                    if m.is_ident("clone") {
+                        if let Some(ty) = REFCOUNT_TYPES.iter().find(|ty| t.is_ident(ty)) {
+                            report_refcount(out, t.line, ty);
                         }
                     }
                 }

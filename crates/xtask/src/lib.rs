@@ -18,7 +18,7 @@
 //!   (`lock-order`, `lock-across-blocking`), via the item-graph model
 //!   in [`parser`] and [`graph`].
 //! * **Hot paths** — functions marked `// hot` and their direct callees
-//!   do not allocate (`hot-alloc`).
+//!   neither allocate nor bump a shared refcount (`hot-alloc`).
 //! * **Layering** — `use` statements respect the crate DAG
 //!   (`layering`), and the vendored stubs stay leaf-only.
 //!

@@ -29,6 +29,8 @@ fn fixture(name: &str) -> &'static str {
         "lock_blocking_good" => include_str!("fixtures/lock_blocking_good.rs"),
         "hot_alloc_bad" => include_str!("fixtures/hot_alloc_bad.rs"),
         "hot_alloc_good" => include_str!("fixtures/hot_alloc_good.rs"),
+        "hot_alloc_refcount_bad" => include_str!("fixtures/hot_alloc_refcount_bad.rs"),
+        "hot_alloc_refcount_good" => include_str!("fixtures/hot_alloc_refcount_good.rs"),
         "layering_bad" => include_str!("fixtures/layering_bad.rs"),
         "layering_good" => include_str!("fixtures/layering_good.rs"),
         "stale_allow_bad" => include_str!("fixtures/stale_allow_bad.rs"),
@@ -216,6 +218,29 @@ fn hot_alloc_bad_flags_direct_and_callee_allocations() {
 #[test]
 fn hot_alloc_good_accepts_reused_buffers_and_cold_allocations() {
     assert!(lints_of("bgp", fixture("hot_alloc_good")).is_empty());
+}
+
+#[test]
+fn hot_alloc_flags_shared_refcount_bumps_in_hot_bodies_and_callees() {
+    let findings = run_one("bgp", "fixture.rs", fixture("hot_alloc_refcount_bad"));
+    let hot: Vec<_> = findings
+        .iter()
+        .filter(|f| f.lint == Lint::HotAlloc)
+        .collect();
+    assert_eq!(
+        hot.len(),
+        2,
+        "Arc::clone in the hot fn, Rc::clone in its callee: {findings:?}"
+    );
+    assert!(
+        hot.iter().all(|f| f.message.contains("refcount")),
+        "{findings:?}"
+    );
+}
+
+#[test]
+fn hot_alloc_accepts_reborrows_and_cold_refcount_bumps() {
+    assert!(lints_of("bgp", fixture("hot_alloc_refcount_good")).is_empty());
 }
 
 // --- layering ----------------------------------------------------------------

@@ -45,14 +45,20 @@ cargo run -q --release -p netdiag-experiments --bin netdiag -- \
 echo "== internet-scale smoke (netdiag gen -> parallel converge, 1k ASes) =="
 # Exercises the generator, the parallel-IGP construction and the sharded
 # BGP message plane end to end, and asserts the RIB is full (every
-# router holds a route to every AS's prefix).
-gen_json="$(cargo run -q --release -p netdiag-experiments --bin netdiag -- \
-    gen --ases 1000 --seed 1 --converge --threads 2 --json)"
-python3 - "$gen_json" <<'PY'
+# router holds a route to every AS's prefix) and that the sharded run
+# delivers exactly the sequential run's messages and routes.
+gen_1k() { cargo run -q --release -p netdiag-experiments --bin netdiag -- \
+    gen --ases 1000 --seed 1 --converge --threads "$1" --json; }
+gen_json="$(gen_1k 2)"
+gen_seq_json="$(gen_1k 1)"
+python3 - "$gen_json" "$gen_seq_json" <<'PY'
 import json, sys
-r = json.loads(sys.argv[1])
+r, seq = json.loads(sys.argv[1]), json.loads(sys.argv[2])
 assert r["rib_routes"] == r["routers"] * r["ases"], f"partial RIB: {r}"
-print(f"full RIB: {r['rib_routes']} routes in {r['converge_ms']:.0f}ms")
+for key in ("messages", "rib_routes"):
+    assert r[key] == seq[key], f"{key}: {r[key]} on 2 threads, {seq[key]} on 1"
+print(f"full RIB: {r['rib_routes']} routes in {r['converge_ms']:.0f}ms "
+      f"(1 thread: {seq['converge_ms']:.0f}ms), {r['messages']} messages on both")
 PY
 
 echo "== trace smoke (simulate -> diagnose --trace -> explain) =="
