@@ -36,6 +36,18 @@ impl EdgeBitSet {
         }
     }
 
+    /// The set of `edges`, allocated once at the length a sequence of
+    /// [`insert`](Self::insert)s would reach (so `words()` — and the word
+    /// counts scoring loops report — do not change).
+    pub(crate) fn from_edges(edges: &[EdgeId]) -> Self {
+        let len = edges.iter().map(|e| e.index() / WORD_BITS + 1).max();
+        let mut words = vec![0; len.unwrap_or(0)];
+        for e in edges {
+            words[e.index() / WORD_BITS] |= 1 << (e.index() % WORD_BITS);
+        }
+        EdgeBitSet { words }
+    }
+
     /// Adds an edge. Returns true if it was not already present.
     pub fn insert(&mut self, e: EdgeId) -> bool {
         let (w, b) = (e.index() / WORD_BITS, e.index() % WORD_BITS);
@@ -205,6 +217,15 @@ mod tests {
             tree.into_iter().collect::<Vec<_>>()
         );
         assert_eq!(bits.len(), ids.len());
+    }
+
+    #[test]
+    fn from_edges_matches_repeated_inserts_word_for_word() {
+        for ids in [&[][..], &[3], &[200, 5, 64, 5], &[63, 0]] {
+            let edges: Vec<EdgeId> = ids.iter().map(|&i| e(i)).collect();
+            let inserted: EdgeBitSet = edges.iter().copied().collect();
+            assert_eq!(EdgeBitSet::from_edges(&edges).words(), inserted.words());
+        }
     }
 
     #[test]

@@ -18,6 +18,7 @@
 use std::sync::Arc;
 
 use netdiag_obs::{names, RecorderHandle};
+use netdiag_topology::SensorId;
 
 use crate::algorithms::{nd_bgpigp_recorded, nd_edge_recorded, nd_lg_recorded, tomo_recorded};
 use crate::config::DiagnosticsConfig;
@@ -95,6 +96,12 @@ pub enum DiagnoseError {
     /// ND-LG maps unidentified hops via Looking Glass queries but no
     /// Looking Glass was configured on the builder.
     MissingLookingGlass,
+    /// A measured path names a sensor that the sensor table does not list.
+    UnknownSensor {
+        /// The first unknown id (before paths, then after paths; source
+        /// before destination).
+        id: SensorId,
+    },
 }
 
 impl std::fmt::Display for DiagnoseError {
@@ -112,11 +119,29 @@ impl std::fmt::Display for DiagnoseError {
                  `.looking_glass(..)` or opt into leaving unidentified \
                  hops unmapped with `.allow_missing_inputs()`"
             ),
+            DiagnoseError::UnknownSensor { id } => write!(
+                f,
+                "a path names sensor {}, which the sensor table does not list",
+                id.index()
+            ),
         }
     }
 }
 
 impl std::error::Error for DiagnoseError {}
+
+/// The first path endpoint (before paths, then after paths; source
+/// before destination) missing from the sensor table.
+fn unknown_sensor(obs: &Observations) -> Option<SensorId> {
+    let mut known: Vec<SensorId> = obs.sensors.iter().map(|s| s.id).collect();
+    known.sort_unstable();
+    obs.before
+        .paths
+        .iter()
+        .chain(&obs.after.paths)
+        .flat_map(|p| [p.src, p.dst])
+        .find(|id| known.binary_search(id).is_err())
+}
 
 /// A Looking Glass with no servers at all (lenient ND-LG fallback).
 struct NoLg;
@@ -299,11 +324,16 @@ impl NetDiagnoser {
     /// [`looking_glass`](NetDiagnoserBuilder::looking_glass) — unless the
     /// builder opted into
     /// [`allow_missing_inputs`](NetDiagnoserBuilder::allow_missing_inputs).
+    /// Fails with [`DiagnoseError::UnknownSensor`] when a path names a
+    /// sensor the observations' sensor table does not list.
     pub fn diagnose(
         &self,
         obs: &Observations,
         ip2as: &dyn IpToAs,
     ) -> Result<Diagnosis, DiagnoseError> {
+        if let Some(id) = unknown_sensor(obs) {
+            return Err(DiagnoseError::UnknownSensor { id });
+        }
         let recorder = &self.recorder;
         let algorithm = self.config.algorithm;
         let weights = self.config.weights;
@@ -461,6 +491,27 @@ mod tests {
             .diagnose(&o, &ip2as)
             .unwrap_err();
         assert_eq!(err, DiagnoseError::MissingLookingGlass);
+    }
+
+    #[test]
+    fn paths_naming_an_unlisted_sensor_are_refused() {
+        let ip2as = ip2as();
+        let mut o = obs();
+        o.after.paths[0].dst = SensorId(99);
+        for algorithm in Algorithm::ALL {
+            let err = NetDiagnoser::builder()
+                .algorithm(algorithm)
+                .allow_missing_inputs()
+                .build()
+                .diagnose(&o, &ip2as)
+                .unwrap_err();
+            assert_eq!(err, DiagnoseError::UnknownSensor { id: SensorId(99) });
+            assert!(err.to_string().contains("sensor 99"), "{err}");
+        }
+        // Before paths are checked too, ahead of after paths.
+        o.before.paths[0].src = SensorId(7);
+        let err = NetDiagnoser::default().diagnose(&o, &ip2as).unwrap_err();
+        assert_eq!(err, DiagnoseError::UnknownSensor { id: SensorId(7) });
     }
 
     #[test]

@@ -7,12 +7,14 @@
 //! inter-domain traversal `u → v` on a path whose next AS (after `v`'s) is
 //! `n` becomes the two half-links `u → v(n)` and `v(n) → v` of Figure 3.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 use netdiag_topology::AsId;
 
 use crate::observation::{Hop, IpToAs, ProbePath};
+use crate::seeded_hash::SeededMap;
 
 /// Which snapshot a path belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -124,12 +126,22 @@ impl EdgeData {
 }
 
 /// The inferred diagnosis graph.
+///
+/// Node and edge ids are dense and assigned in first-seen order. The
+/// interning tables are keyed through a per-process seeded hash and are
+/// only ever looked up, never iterated, so ids do not depend on the seed.
 #[derive(Clone, Debug, Default)]
 pub struct DiagGraph {
     nodes: Vec<NodeData>,
-    node_index: HashMap<HopNode, NodeId>,
+    /// Per node, the single AS of its tag (`None` for no tag or a
+    /// multi-AS candidate set) — what logical expansion reads per hop.
+    node_as: Vec<Option<AsId>>,
+    node_index: SeededMap<HopNode, NodeId>,
     edges: Vec<EdgeData>,
-    edge_index: HashMap<(PhysId, Option<LogicalPart>), EdgeId>,
+    edge_index: SeededMap<(PhysId, Option<LogicalPart>), EdgeId>,
+    /// Scratch for [`expand_path`](Self::expand_path): the interned node
+    /// and single AS of each hop of the path being expanded.
+    hops: Vec<(NodeId, Option<AsId>)>,
 }
 
 impl DiagGraph {
@@ -139,23 +151,31 @@ impl DiagGraph {
     }
 
     /// Interns a node, resolving its AS tag through `ip2as` for addresses.
+    // hot
     pub fn intern_node(&mut self, key: HopNode, ip2as: &dyn IpToAs) -> NodeId {
-        if let Some(&id) = self.node_index.get(&key) {
-            return id;
+        match self.node_index.entry(key) {
+            Entry::Occupied(slot) => *slot.get(),
+            Entry::Vacant(slot) => {
+                let as_id = match key {
+                    HopNode::Ip(addr) => ip2as.as_of(addr),
+                    HopNode::Uh(..) => None,
+                };
+                let id = NodeId(self.nodes.len() as u32);
+                self.nodes.push(NodeData {
+                    key,
+                    // lint: allow(hot-alloc): a new node's singleton tag, once per address
+                    tag: as_id.map(|a| BTreeSet::from([a])),
+                });
+                self.node_as.push(as_id);
+                *slot.insert(id)
+            }
         }
-        let tag = match key {
-            HopNode::Ip(addr) => ip2as.as_of(addr).map(|a| BTreeSet::from([a])),
-            HopNode::Uh(..) => None,
-        };
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(NodeData { key, tag });
-        self.node_index.insert(key, id);
-        id
     }
 
     /// Interns an edge. Edges between two known addresses are identified by
     /// their ingress (`to`) address: the same physical link observed behind
     /// different upstream aliases merges onto one edge.
+    // hot
     pub fn intern_edge(
         &mut self,
         from: NodeId,
@@ -169,18 +189,19 @@ impl DiagGraph {
         } else {
             PhysId::Pair(from, to)
         };
-        if let Some(&id) = self.edge_index.get(&(phys, logical)) {
-            return id;
+        match self.edge_index.entry((phys, logical)) {
+            Entry::Occupied(slot) => *slot.get(),
+            Entry::Vacant(slot) => {
+                let id = EdgeId(self.edges.len() as u32);
+                self.edges.push(EdgeData {
+                    from,
+                    to,
+                    logical,
+                    phys,
+                });
+                *slot.insert(id)
+            }
         }
-        let id = EdgeId(self.edges.len() as u32);
-        self.edges.push(EdgeData {
-            from,
-            to,
-            logical,
-            phys,
-        });
-        self.edge_index.insert((phys, logical), id);
-        id
     }
 
     /// Expands a measured path into its edge sequence.
@@ -190,6 +211,7 @@ impl DiagGraph {
     /// annotation is the first AS after the far endpoint's on the path, or
     /// the destination AS (`dst_as`) when the far endpoint's AS is the last
     /// one observed.
+    // hot
     pub fn expand_path(
         &mut self,
         path: &ProbePath,
@@ -198,49 +220,37 @@ impl DiagGraph {
         ip2as: &dyn IpToAs,
         logical: bool,
     ) -> Vec<EdgeId> {
-        let keys: Vec<HopNode> = path
-            .hops
-            .iter()
-            .enumerate()
-            .map(|(pos, hop)| match hop {
+        // Taken out of `self` while `intern_node` borrows it mutably.
+        let mut hops = std::mem::take(&mut self.hops);
+        hops.clear();
+        for (pos, hop) in path.hops.iter().enumerate() {
+            let key = match hop {
                 Hop::Addr(addr) => HopNode::Ip(*addr),
                 Hop::Star => HopNode::Uh(path_ref, pos),
-            })
-            .collect();
-        let nodes: Vec<NodeId> = keys.iter().map(|&k| self.intern_node(k, ip2as)).collect();
-        // Per-hop AS (where known), for logical annotation.
-        let hop_as: Vec<Option<AsId>> = nodes.iter().map(|&n| self.single_tag(n)).collect();
-
-        let mut edges = Vec::with_capacity(nodes.len().saturating_sub(1));
-        for i in 1..nodes.len() {
-            let (u, v) = (nodes[i - 1], nodes[i]);
-            let interdomain = match (hop_as[i - 1], hop_as[i]) {
-                (Some(a), Some(b)) => a != b,
-                _ => false,
             };
-            if logical && interdomain {
-                let v_as = hop_as[i].expect("interdomain implies known");
-                let next_as = hop_as[i + 1..]
-                    .iter()
-                    .flatten()
-                    .copied()
-                    .find(|&a| a != v_as)
-                    .unwrap_or(dst_as);
-                edges.push(self.intern_edge(u, v, Some(LogicalPart::First(next_as))));
-                edges.push(self.intern_edge(u, v, Some(LogicalPart::Second(next_as))));
-            } else {
-                edges.push(self.intern_edge(u, v, None));
+            let n = self.intern_node(key, ip2as);
+            hops.push((n, self.node_as[n.index()]));
+        }
+
+        // lint: allow(hot-alloc): the returned edge sequence, one per path
+        let mut edges = Vec::with_capacity(hops.len().saturating_sub(1));
+        for i in 1..hops.len() {
+            let ((u, u_as), (v, v_as)) = (hops[i - 1], hops[i]);
+            match (u_as, v_as) {
+                (Some(a), Some(v_as)) if logical && a != v_as => {
+                    let next_as = hops[i + 1..]
+                        .iter()
+                        .filter_map(|&(_, a)| a)
+                        .find(|&a| a != v_as)
+                        .unwrap_or(dst_as);
+                    edges.push(self.intern_edge(u, v, Some(LogicalPart::First(next_as))));
+                    edges.push(self.intern_edge(u, v, Some(LogicalPart::Second(next_as))));
+                }
+                _ => edges.push(self.intern_edge(u, v, None)),
             }
         }
+        self.hops = hops;
         edges
-    }
-
-    /// The single AS of a node's tag, when it is a singleton.
-    fn single_tag(&self, n: NodeId) -> Option<AsId> {
-        match &self.nodes[n.index()].tag {
-            Some(set) if set.len() == 1 => set.iter().next().copied(),
-            _ => None,
-        }
     }
 
     /// Node payload.
@@ -255,6 +265,10 @@ impl DiagGraph {
 
     /// Sets the AS tag of a node (used by ND-LG for unidentified hops).
     pub fn set_tag(&mut self, n: NodeId, tag: BTreeSet<AsId>) {
+        self.node_as[n.index()] = match tag.len() {
+            1 => tag.first().copied(),
+            _ => None,
+        };
         self.nodes[n.index()].tag = Some(tag);
     }
 
@@ -281,7 +295,7 @@ impl DiagGraph {
         self.nodes.len()
     }
 
-    /// The observed endpooints of an edge.
+    /// The observed endpoints of an edge.
     pub fn endpoints(&self, e: EdgeId) -> (HopNode, HopNode) {
         let d = self.edge(e);
         (self.node(d.from).key, self.node(d.to).key)
@@ -495,5 +509,24 @@ mod tests {
             g.edge_as_set(edges[0]),
             BTreeSet::from([AsId(1), AsId(7), AsId(8)])
         );
+    }
+
+    #[test]
+    fn multi_as_tags_end_logical_splitting_like_unknown_ones() {
+        let m = ip2as();
+        let mut g = DiagGraph::new();
+        let p = path(vec![ip(1, 1), ip(2, 1), ip(3, 1)], true);
+        let split = g.expand_path(&p, BEFORE0, AsId(3), &m, true);
+        assert_eq!(split.len(), 4, "two inter-domain links, two halves each");
+        // Re-tagged with a candidate set, 10.2.0.1 no longer has a single
+        // AS: neither of its links is inter-domain any more.
+        let mid = g.node_id(&HopNode::Ip(Ipv4Addr::new(10, 2, 0, 1))).unwrap();
+        g.set_tag(mid, BTreeSet::from([AsId(2), AsId(7)]));
+        let plain = g.expand_path(&p, BEFORE0, AsId(3), &m, true);
+        assert!(plain.iter().all(|&e| g.edge(e).logical.is_none()));
+        // And a singleton re-tag is a single AS again.
+        g.set_tag(mid, BTreeSet::from([AsId(7)]));
+        let resplit = g.expand_path(&p, BEFORE0, AsId(3), &m, true);
+        assert_eq!(resplit.len(), 4);
     }
 }

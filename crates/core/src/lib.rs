@@ -85,6 +85,7 @@ mod problem;
 pub mod ranking;
 pub mod report;
 mod scfs;
+mod seeded_hash;
 pub mod text;
 
 pub use algorithms::{

@@ -4,14 +4,15 @@
 //! sets, working-path constraints and candidate set defined in §2.3–§3.2 of
 //! the paper, and can be refined with AS-X's control-plane feed (§3.3).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeMap;
 
-use netdiag_topology::SensorId;
+use netdiag_topology::{AsId, SensorId};
 
 use crate::bitset::EdgeBitSet;
-use crate::graph::{DiagGraph, Epoch, HopNode, PathRef, PhysId};
+use crate::graph::{DiagGraph, EdgeId, Epoch, HopNode, PathRef, PhysId};
 use crate::hitting_set::HittingSetInstance;
-use crate::observation::{Hop, IpToAs, Observations, RoutingFeed};
+use crate::observation::{Hop, IpToAs, Observations, ProbePath, RoutingFeed};
+use crate::seeded_hash::SeededMap;
 
 /// A failure or reroute set attached to its sensor pair.
 #[derive(Clone, Debug)]
@@ -84,21 +85,29 @@ pub struct Problem {
     pub candidates: EdgeBitSet,
     /// Edge sequence of every before-snapshot path (aligned with
     /// `Observations::before.paths`).
-    pub before_edges: Vec<Vec<crate::graph::EdgeId>>,
+    pub before_edges: Vec<Vec<EdgeId>>,
     /// Edge sequence of every after-snapshot path (empty unless
     /// `use_after`).
-    pub after_edges: Vec<Vec<crate::graph::EdgeId>>,
+    pub after_edges: Vec<Vec<EdgeId>>,
     /// Edges forced into the hypothesis by IGP link-down events (§3.3).
-    pub forced: Vec<crate::graph::EdgeId>,
+    pub forced: Vec<EdgeId>,
 }
 
 impl Problem {
     /// Builds the problem from observations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a path names a sensor missing from `obs.sensors`
+    /// ([`NetDiagnoser::diagnose`](crate::NetDiagnoser::diagnose) checks
+    /// this first and answers [`DiagnoseError::UnknownSensor`](crate::DiagnoseError::UnknownSensor)).
     pub fn build(obs: &Observations, ip2as: &dyn IpToAs, opts: BuildOptions) -> Problem {
         Self::build_recorded(obs, ip2as, opts, &netdiag_obs::RecorderHandle::noop())
     }
 
-    /// [`build`](Self::build), additionally emitting one
+    /// [`build`](Self::build), additionally timing the build as a
+    /// [`DIAG_PROBLEM_BUILD`](netdiag_obs::names::DIAG_PROBLEM_BUILD) span
+    /// and emitting one
     /// [`EV_DIAG_REROUTE_SET`](netdiag_obs::names::EV_DIAG_REROUTE_SET)
     /// trace event per constructed reroute set.
     pub fn build_recorded(
@@ -107,83 +116,91 @@ impl Problem {
         opts: BuildOptions,
         recorder: &netdiag_obs::RecorderHandle,
     ) -> Problem {
+        let _span = recorder.span(netdiag_obs::names::DIAG_PROBLEM_BUILD);
+        let (before, after) = (&obs.before.paths, &obs.after.paths);
+
+        // Each sensor's AS, by id (the first entry wins, as in
+        // `Observations::sensor`).
+        let mut sensor_as: SeededMap<SensorId, AsId> = SeededMap::default();
+        sensor_as.reserve(obs.sensors.len());
+        for s in &obs.sensors {
+            sensor_as.entry(s.id).or_insert(s.as_id);
+        }
+        let dst_as = |p: &ProbePath| -> AsId {
+            *sensor_as
+                .get(&p.dst)
+                .expect("sensor ids in observations come from the sensor table")
+        };
+
+        // Dense pair tables, one hash lookup per path: every before pair
+        // gets an id; per id, the first *reached* before path (the one the
+        // reroute comparison uses) and the post-failure reachability (the
+        // last after path of the pair wins).
+        let mut pair_id: SeededMap<(SensorId, SensorId), u32> = SeededMap::default();
+        pair_id.reserve(before.len());
+        let mut first_reached: Vec<Option<usize>> = Vec::with_capacity(before.len());
+        let mut before_pair: Vec<u32> = Vec::with_capacity(before.len());
+        for (i, p) in before.iter().enumerate() {
+            let id = *pair_id.entry((p.src, p.dst)).or_insert_with(|| {
+                first_reached.push(None);
+                (first_reached.len() - 1) as u32
+            });
+            before_pair.push(id);
+            let first = &mut first_reached[id as usize];
+            if p.reached && first.is_none() {
+                *first = Some(i);
+            }
+        }
+        let mut reached_after: Vec<Option<bool>> = vec![None; first_reached.len()];
+        let mut after_pair: Vec<Option<u32>> = Vec::with_capacity(after.len());
+        for p in after {
+            let id = pair_id.get(&(p.src, p.dst)).copied();
+            if let Some(id) = id {
+                reached_after[id as usize] = Some(p.reached);
+            }
+            after_pair.push(id);
+        }
+        let reached_after_of = |i: usize| reached_after[before_pair[i] as usize];
+
+        // Expand the before-snapshot paths, then the after-snapshot paths
+        // when requested.
         let mut graph = DiagGraph::new();
-
-        // Expand the before-snapshot paths.
-        let before_edges: Vec<Vec<crate::graph::EdgeId>> = obs
-            .before
-            .paths
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let dst_as = obs.sensor(p.dst).as_id;
-                graph.expand_path(
-                    p,
-                    PathRef {
-                        epoch: Epoch::Before,
-                        index: i,
-                    },
-                    dst_as,
-                    ip2as,
-                    opts.logical,
-                )
-            })
-            .collect();
-
-        // Expand the after-snapshot paths when requested.
-        let after_edges: Vec<Vec<crate::graph::EdgeId>> = if opts.use_after {
-            obs.after
-                .paths
+        let mut expand = |epoch: Epoch, paths: &[ProbePath]| -> Vec<Vec<EdgeId>> {
+            paths
                 .iter()
                 .enumerate()
-                .map(|(i, p)| {
-                    let dst_as = obs.sensor(p.dst).as_id;
-                    graph.expand_path(
-                        p,
-                        PathRef {
-                            epoch: Epoch::After,
-                            index: i,
-                        },
-                        dst_as,
-                        ip2as,
-                        opts.logical,
-                    )
+                .map(|(index, p)| {
+                    let path_ref = PathRef { epoch, index };
+                    graph.expand_path(p, path_ref, dst_as(p), ip2as, opts.logical)
                 })
                 .collect()
+        };
+        let before_edges = expand(Epoch::Before, before);
+        let after_edges = if opts.use_after {
+            expand(Epoch::After, after)
         } else {
             Vec::new()
         };
 
-        // Post-failure reachability per pair.
-        let reached_after: HashMap<(SensorId, SensorId), bool> = obs
-            .after
-            .paths
-            .iter()
-            .map(|p| ((p.src, p.dst), p.reached))
-            .collect();
-
         // Failure sets: pairs healthy at T- and broken at T+; the set is
         // the pre-failure path's edges.
-        let mut failure_sets = Vec::new();
-        for (i, p) in obs.before.paths.iter().enumerate() {
-            if !p.reached {
-                continue; // the pair was already broken before the event
-            }
-            if reached_after.get(&(p.src, p.dst)) == Some(&false) {
-                failure_sets.push(PathSet {
-                    src: p.src,
-                    dst: p.dst,
-                    before_index: i,
-                    edges: before_edges[i].iter().copied().collect(),
-                });
-            }
-        }
+        let failure_sets: Vec<PathSet> = before
+            .iter()
+            .enumerate()
+            .filter(|&(i, p)| p.reached && reached_after_of(i) == Some(false))
+            .map(|(i, p)| PathSet {
+                src: p.src,
+                dst: p.dst,
+                before_index: i,
+                edges: EdgeBitSet::from_edges(&before_edges[i]),
+            })
+            .collect();
 
         // Working constraints.
-        let mut working_edges = EdgeBitSet::new();
+        let mut working_edges = EdgeBitSet::with_capacity(graph.edge_count());
         if opts.use_after {
             // Post-failure working paths prove their (new) edges up.
-            for (j, p) in obs.after.paths.iter().enumerate() {
+            for (j, p) in after.iter().enumerate() {
                 if p.reached {
                     working_edges.extend(after_edges[j].iter().copied());
                 }
@@ -192,8 +209,8 @@ impl Problem {
             // Plain Tomo never re-probes: it treats the *stale* pre-failure
             // paths of still-reachable pairs as proof their links are up —
             // exactly the limitation §2.5(2) describes.
-            for (i, p) in obs.before.paths.iter().enumerate() {
-                if p.reached && reached_after.get(&(p.src, p.dst)) == Some(&true) {
+            for (i, p) in before.iter().enumerate() {
+                if p.reached && reached_after_of(i) == Some(true) {
                     working_edges.extend(before_edges[i].iter().copied());
                 }
             }
@@ -204,39 +221,37 @@ impl Problem {
         // the new path.
         let mut reroute_sets = Vec::new();
         if opts.use_after {
-            for (j, p) in obs.after.paths.iter().enumerate() {
+            // Compare *identified* edges only: an unidentified hop is a
+            // fresh node on every path, so including UH edges would make
+            // every unchanged path through a blocked AS look rerouted. An
+            // identified edge's physical identity is `Ingress(to)`, so
+            // "on the new path" is a per-node stamp: `on_new[n] == j + 1`
+            // when after path `j` holds an edge with identity
+            // `Ingress(n)`.
+            let mut on_new: Vec<usize> = vec![0; graph.node_count()];
+            let mut removed: Vec<EdgeId> = Vec::new();
+            for (j, p) in after.iter().enumerate() {
                 if !p.reached {
                     continue;
                 }
-                let Some(i) = obs
-                    .before
-                    .paths
-                    .iter()
-                    .position(|bp| bp.src == p.src && bp.dst == p.dst && bp.reached)
-                else {
+                let Some(i) = after_pair[j].and_then(|id| first_reached[id as usize]) else {
                     continue;
                 };
-                // Compare *identified* edges only: an unidentified hop is
-                // a fresh node on every path, so including UH edges would
-                // make every unchanged path through a blocked AS look
-                // rerouted.
-                let new_phys: BTreeSet<PhysId> = after_edges[j]
-                    .iter()
-                    .map(|&e| graph.edge(e).phys())
-                    .collect();
-                let removed: EdgeBitSet = before_edges[i]
-                    .iter()
-                    .copied()
-                    .filter(|&e| {
-                        !graph.is_unidentified(e) && !new_phys.contains(&graph.edge(e).phys())
-                    })
-                    .collect();
+                for &e in &after_edges[j] {
+                    if let PhysId::Ingress(n) = graph.edge(e).phys() {
+                        on_new[n.index()] = j + 1;
+                    }
+                }
+                removed.clear();
+                removed.extend(before_edges[i].iter().copied().filter(|&e| {
+                    matches!(graph.edge(e).phys(), PhysId::Ingress(n) if on_new[n.index()] != j + 1)
+                }));
                 if !removed.is_empty() {
                     reroute_sets.push(PathSet {
                         src: p.src,
                         dst: p.dst,
                         before_index: i,
-                        edges: removed,
+                        edges: EdgeBitSet::from_edges(&removed),
                     });
                 }
             }
@@ -244,11 +259,10 @@ impl Problem {
 
         // Candidate set: everything implicated, minus proven-up edges,
         // minus (optionally) unidentified links.
-        let mut candidates: EdgeBitSet = failure_sets
-            .iter()
-            .flat_map(|s| s.edges.iter())
-            .chain(reroute_sets.iter().flat_map(|s| s.edges.iter()))
-            .collect();
+        let mut candidates = EdgeBitSet::with_capacity(graph.edge_count());
+        for set in failure_sets.iter().chain(&reroute_sets) {
+            candidates.extend(set.edges.iter());
+        }
         candidates.retain(|e| !working_edges.contains(e));
         if opts.ignore_unidentified {
             candidates.retain(|e| !graph.is_unidentified(e));
@@ -308,7 +322,7 @@ impl Problem {
         // IGP link-down: edges terminating at either interface of the
         // failed link are that link.
         for ev in &feed.igp_link_down {
-            let mut hit: Vec<crate::graph::EdgeId> = self
+            let mut hit: Vec<EdgeId> = self
                 .graph
                 .edges()
                 .filter(|(_, d)| {

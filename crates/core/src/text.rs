@@ -123,23 +123,31 @@ pub fn write_snapshot(snapshot: &Snapshot) -> String {
 /// Parses a snapshot.
 pub fn parse_snapshot(text: &str) -> Result<Snapshot, ParseError> {
     let mut paths: Vec<ProbePath> = Vec::new();
+    // The current path's hops accumulate in one reused buffer and move
+    // into the path, sized exactly, when its block ends.
+    let mut hops: Vec<Hop> = Vec::new();
     let mut current: Option<ProbePath> = None;
+    let mut finish = |current: &mut Option<ProbePath>, hops: &mut Vec<Hop>| {
+        if let Some(mut p) = current.take() {
+            p.hops = hops.to_vec();
+            hops.clear();
+            paths.push(p);
+        }
+    };
     for (n, line) in lines(text) {
         if line.is_empty() {
-            if let Some(p) = current.take() {
-                paths.push(p);
-            }
+            finish(&mut current, &mut hops);
             continue;
         }
         if let Some(rest) = line.strip_prefix("path ") {
-            if let Some(p) = current.take() {
-                paths.push(p);
-            }
-            let parts: Vec<&str> = rest.split_whitespace().collect();
-            let [src, dst, status] = parts.as_slice() else {
+            finish(&mut current, &mut hops);
+            let mut fields = rest.split_whitespace();
+            let (Some(src), Some(dst), Some(status), None) =
+                (fields.next(), fields.next(), fields.next(), fields.next())
+            else {
                 return Err(err(n, "expected: path <src> <dst> reached|failed"));
             };
-            let reached = match *status {
+            let reached = match status {
                 "reached" => true,
                 "failed" => false,
                 other => return Err(err(n, format!("bad status {other:?}"))),
@@ -151,22 +159,20 @@ pub fn parse_snapshot(text: &str) -> Result<Snapshot, ParseError> {
                 reached,
             });
         } else {
-            let p = current
-                .as_mut()
-                .ok_or_else(|| err(n, "hop before any path header"))?;
+            if current.is_none() {
+                return Err(err(n, "hop before any path header"));
+            }
             if line == "*" {
-                p.hops.push(Hop::Star);
+                hops.push(Hop::Star);
             } else {
                 let addr: Ipv4Addr = line
                     .parse()
                     .map_err(|_| err(n, format!("bad hop {line:?}")))?;
-                p.hops.push(Hop::Addr(addr));
+                hops.push(Hop::Addr(addr));
             }
         }
     }
-    if let Some(p) = current.take() {
-        paths.push(p);
-    }
+    finish(&mut current, &mut hops);
     Ok(Snapshot { paths })
 }
 

@@ -261,5 +261,21 @@ fn netdiag_profile_writes_a_run_report() {
     for name in [names::DIAG_RUNS, names::HS_GREEDY_ITERS] {
         assert!(counter(&diag_profile, name) > 0, "diagnose: {name}");
     }
+    // The diagnose phase is attributed: one problem build per diagnosis.
+    let doc = parse(&fs::read_to_string(&diag_profile).unwrap()).unwrap();
+    let build_span = |field: &str| {
+        doc.get("spans")
+            .and_then(|s| s.get(names::DIAG_PROBLEM_BUILD))
+            .and_then(|s| s.get(field))
+            .and_then(Json::as_u64)
+            .unwrap_or(0)
+    };
+    assert_eq!(
+        build_span("count"),
+        counter(&diag_profile, names::DIAG_RUNS),
+        "diagnose: {}",
+        names::DIAG_PROBLEM_BUILD
+    );
+    assert!(build_span("sum_ns") > 0);
     let _ = fs::remove_dir_all(&dir);
 }

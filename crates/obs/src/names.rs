@@ -69,6 +69,10 @@ pub const FEED_EXONERATED_EDGES: &str = "feed.exonerated_edges";
 pub const DIAG_RUNS: &str = "diag.runs";
 /// Histogram: hypothesis-set size per diagnosis.
 pub const DIAG_HYPOTHESIS_SIZE: &str = "diag.hypothesis_size";
+/// Span: one `Problem::build` — graph expansion of both snapshots, the
+/// sensor-pair tables, and the failure, reroute, working and candidate
+/// sets.
+pub const DIAG_PROBLEM_BUILD: &str = "diag.problem_build";
 
 // --- report: structured diagnostic reports ----------------------------------
 

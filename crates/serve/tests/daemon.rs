@@ -218,6 +218,51 @@ fn bad_requests_get_structured_errors_and_the_daemon_survives() {
 }
 
 #[test]
+fn an_unknown_sensor_is_an_error_and_the_lone_worker_survives_it() {
+    let config = ServeConfig {
+        workers: 1,
+        ..test_config()
+    };
+    let baseline = Arc::new(Baseline::prepare(&config));
+    let handle = Server::start_with_baseline(
+        config,
+        Endpoint::Tcp("127.0.0.1:0".to_owned()),
+        Arc::clone(&baseline),
+    )
+    .expect("daemon binds a loopback port");
+    let addr = handle.tcp_addr().expect("TCP endpoint").to_string();
+    let mut client = Client::connect_tcp(&addr).expect("client connects");
+
+    let bad = DiagnoseJob {
+        after: "path 0 99 failed\n10.0.0.1\n".to_owned(),
+        ..Default::default()
+    };
+    let response = client
+        .request_line(&write_diagnose_request(1, &bad))
+        .expect("bad request answered");
+    let v = parse(&response).expect("response is JSON");
+    assert!(matches!(v.get("ok"), Some(Json::Bool(false))), "{response}");
+    assert!(v
+        .get("error")
+        .and_then(Json::as_str)
+        .expect("error message")
+        .contains("sensor 99"));
+
+    // The only worker is still there to serve the next request.
+    let scenario = baseline.sample_scenario(3).expect("scenario sampled");
+    let good = DiagnoseJob {
+        after: scenario.after,
+        ..Default::default()
+    };
+    let response = client
+        .request_line(&write_diagnose_request(2, &good))
+        .expect("valid request answered");
+    let v = parse(&response).expect("response is JSON");
+    assert!(matches!(v.get("ok"), Some(Json::Bool(true))), "{response}");
+    handle.stop();
+}
+
+#[test]
 fn unix_socket_endpoint_serves_and_cleans_up() {
     let dir = std::env::temp_dir().join(format!("netdiag-serve-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir for the socket");

@@ -638,7 +638,7 @@ fn resolve<'i>(
 // --- hot-alloc ---------------------------------------------------------------
 
 /// `Type::ctor(` forms that allocate.
-const ALLOC_PATH_CTORS: [(&str, &str); 17] = [
+const ALLOC_PATH_CTORS: [(&str, &str); 21] = [
     ("Vec", "new"),
     ("Vec", "from"),
     ("Vec", "with_capacity"),
@@ -651,9 +651,13 @@ const ALLOC_PATH_CTORS: [(&str, &str); 17] = [
     ("BinaryHeap", "new"),
     ("BinaryHeap", "with_capacity"),
     ("BTreeMap", "new"),
+    ("BTreeMap", "from"),
     ("BTreeSet", "new"),
+    ("BTreeSet", "from"),
     ("HashMap", "new"),
+    ("HashMap", "from"),
     ("HashSet", "new"),
+    ("HashSet", "from"),
     ("Arc", "new"),
     ("Rc", "new"),
 ];

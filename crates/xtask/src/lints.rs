@@ -108,14 +108,19 @@ const ITER_METHODS: [&str; 9] = [
     "drain",
 ];
 
-/// Flags iteration over identifiers declared with a `HashMap`/`HashSet`
-/// type in the same file (let bindings, struct fields, fn params).
+/// Hash container types: std's, and core's `SeededMap` alias over
+/// `HashMap` (the diagnosis graph's seeded interning tables).
+const HASH_TYPES: [&str; 3] = ["HashMap", "HashSet", "SeededMap"];
+
+/// Flags iteration over identifiers declared with a hash container type
+/// ([`HASH_TYPES`]) in the same file (let bindings, struct fields, fn
+/// params).
 fn hash_iter(p: &PreparedFile<'_>, out: &mut Vec<Finding>) {
     let toks = &p.tokens;
     // Pass 1: names bound to hash-typed declarations.
     let mut hash_names: BTreeSet<&str> = BTreeSet::new();
     for (i, t) in toks.iter().enumerate() {
-        if !(t.is_ident("HashMap") || t.is_ident("HashSet")) {
+        if !HASH_TYPES.iter().any(|ty| t.is_ident(ty)) {
             continue;
         }
         // Walk left over `&`, `mut` and lifetimes to the binding site.

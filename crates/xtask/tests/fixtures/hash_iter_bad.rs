@@ -20,3 +20,7 @@ pub fn set_for_loop(seen: &HashSet<u32>) -> u32 {
     }
     sum
 }
+
+pub fn seeded_index_leak(index: &SeededMap<u32, u32>) -> Vec<u32> {
+    index.values().copied().collect()
+}

@@ -1,5 +1,6 @@
-// A `// hot` function that allocates four ways — growth ctor, push on
-// that local, format! — plus a direct callee that boxes. All flagged.
+// A `// hot` function that allocates five ways — growth ctor, push on
+// that local, format!, a collection built from an array — plus a direct
+// callee that boxes. All flagged.
 
 // hot
 pub fn deliver_fast(input: &[u32]) -> u32 {
@@ -8,7 +9,8 @@ pub fn deliver_fast(input: &[u32]) -> u32 {
         scratch.push(*v + 1);
     }
     let label = format!("{}", scratch.len());
-    helper(label.len() as u32)
+    let seen = std::collections::BTreeSet::from([label.len()]);
+    helper(seen.len() as u32)
 }
 
 fn helper(n: u32) -> u32 {

@@ -56,8 +56,8 @@ fn hash_iter_bad_fires_on_every_iteration_site() {
     let found = lints_of("netsim", fixture("hash_iter_bad"));
     assert_eq!(
         found.iter().filter(|&&l| l == Lint::HashIter).count(),
-        3,
-        "for-loop over .iter(), .keys() chain and for-over-set: {found:?}"
+        4,
+        "for-loop over .iter(), .keys() chain, for-over-set and .values() of a SeededMap: {found:?}"
     );
 }
 
@@ -210,8 +210,8 @@ fn hot_alloc_bad_flags_direct_and_callee_allocations() {
     let found = lints_of("bgp", fixture("hot_alloc_bad"));
     assert_eq!(
         found.iter().filter(|&&l| l == Lint::HotAlloc).count(),
-        4,
-        "Vec::new, push on a growth local, format!, Box::new via helper: {found:?}"
+        5,
+        "Vec::new, push on a growth local, format!, BTreeSet::from, Box::new via helper: {found:?}"
     );
 }
 

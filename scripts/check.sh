@@ -82,7 +82,9 @@ serve() { cargo run -q --release -p netdiag-serve --bin netdiag-serve -- "$@"; }
 cargo build -q --release -p netdiag-serve
 serve_pid=""
 trap 'if [ -n "$serve_pid" ]; then kill "$serve_pid" 2>/dev/null || true; fi; rm -rf "$tracedir"' EXIT
-serve run --listen 127.0.0.1:0 --seed 3 --sensors 8 > "$servedir/run.out" &
+# One worker, so a request that killed its worker would leave nothing to
+# serve the next one (see the unknown-sensor check below).
+serve run --listen 127.0.0.1:0 --seed 3 --sensors 8 --workers 1 > "$servedir/run.out" &
 serve_pid=$!
 addr=""
 for _ in $(seq 1 150); do
@@ -101,6 +103,19 @@ serve request --connect "$addr" --dir "$tracedir/scn" --algo nd-bgpigp \
 netdiag diagnose --dir "$tracedir/scn" --algo nd-bgpigp \
     | sed '/^--- ground truth/,$d' > "$servedir/batch.txt"
 diff -u "$servedir/batch.txt" "$servedir/daemon.txt"
+# An upload whose path names a sensor the table does not list is refused
+# with an error, and the worker survives it: the next valid diagnose
+# still answers (bounded, since a lost worker would leave it queued).
+mkdir -p "$servedir/unknown"
+printf 'path 0 99 failed\n10.0.0.1\n' > "$servedir/unknown/after.txt"
+if serve request --connect "$addr" --dir "$servedir/unknown" 2> "$servedir/unknown.err"; then
+    echo "a path naming unknown sensor 99 was diagnosed" >&2
+    exit 1
+fi
+grep -q 'sensor 99' "$servedir/unknown.err"
+timeout 60 cargo run -q --release -p netdiag-serve --bin netdiag-serve -- \
+    request --connect "$addr" --dir "$tracedir/scn" --algo nd-bgpigp --json \
+    | grep -q '"schema":1'
 # Live telemetry plane: the stats verb reports a ready daemon whose
 # request counter advanced past the diagnoses above, and the Prometheus
 # rendering exposes the same registry.
