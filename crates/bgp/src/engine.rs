@@ -9,11 +9,23 @@
 //!
 //! # Flat substrate
 //!
-//! All hot-path state is indexed by a dense *prefix id* (pid): the engine
-//! interns every AS prefix into one sorted table at construction, so
+//! All hot-path state is indexed by a dense *prefix id* (pid), so
 //! per-router RIBs are flat arrays indexed by pid instead of sorted maps
-//! keyed by [`Prefix`] (whose inserts memmove O(prefixes) entries). AS
-//! paths are interned into a shared [`PathPool`] — messages and stored
+//! keyed by [`Prefix`] (whose inserts memmove O(prefixes) entries). The pid
+//! space holds only the prefixes added so far — in practice the ones
+//! originated — kept sorted: an engine routing toward the ten sensor
+//! prefixes of a trial has ten-slot tables, so a copy-on-write break, the
+//! restore that drops it and a longest-prefix-match scan all cost in
+//! proportion to the prefixes in play, not to the topology.
+//! [`Bgp::add_prefixes`] grows the space by merging the new prefixes in and
+//! renaming existing state through a monotone old-pid → new-pid map, so
+//! ascending pid always means ascending prefix and every pid-ordered walk,
+//! FIFO order and path interning order is the same whatever the growth
+//! history. Whole-internet convergence adds every prefix up front
+//! (`Sim::new_parallel`), keeping that one-time sizing out of the
+//! convergence itself.
+//!
+//! AS paths are interned into a shared [`PathPool`] — messages and stored
 //! routes carry a `u32` path id — and per-session policy inputs (AS
 //! membership, business relationship) are precomputed once, so the
 //! message loop performs no topology lookups and no allocation per
@@ -31,7 +43,7 @@ use netdiag_topology::{AsId, LinkId, LinkKind, PeerKind, Prefix, RouterId, Topol
 use crate::policy::{ExportDeny, ExportFilters};
 use crate::route::{local_pref_for, AsPath, Route, RouteSource, LOCAL_PREF_ORIGINATED};
 use crate::session::{Session, SessionId, SessionKind, SessionTable};
-use crate::vecmap::{VecMap, VecSet};
+use crate::vecmap::VecMap;
 
 /// Read-only routing context threaded through engine operations.
 #[derive(Clone, Copy)]
@@ -285,29 +297,60 @@ impl AdjCell {
 }
 
 /// A dense bitset over prefix ids with a maintained cardinality.
+///
+/// Word 0 lives inline, so a set over fewer than 64 pids (every set in an
+/// engine routing toward a handful of prefixes) allocates nothing, and a
+/// copy-on-write break clones it with a plain copy. Words are read and
+/// written through [`PidSet::word`] / [`PidSet::word_mut`].
 #[derive(Clone, Debug, Default)]
 struct PidSet {
-    words: Vec<u64>,
+    /// Pids `0..64`.
+    first: u64,
+    /// Words `1..`: `rest[i]` holds pids `64 * (i + 1)..64 * (i + 2)`.
+    rest: Vec<u64>,
     count: u32,
 }
 
 impl PidSet {
+    /// Number of words held (trailing words past it are zero).
+    #[inline]
+    fn word_count(&self) -> usize {
+        1 + self.rest.len()
+    }
+
+    /// Word `w` (zero past the held words).
+    #[inline]
+    fn word(&self, w: usize) -> u64 {
+        match w.checked_sub(1) {
+            None => self.first,
+            Some(i) => self.rest.get(i).copied().unwrap_or(0),
+        }
+    }
+
+    /// Word `w`, holding it first when it lies past the held words.
+    fn word_mut(&mut self, w: usize) -> &mut u64 {
+        match w.checked_sub(1) {
+            None => &mut self.first,
+            Some(i) => {
+                if i >= self.rest.len() {
+                    self.rest.resize(i + 1, 0);
+                }
+                &mut self.rest[i]
+            }
+        }
+    }
+
     fn contains(&self, pid: Pid) -> bool {
-        self.words
-            .get((pid / 64) as usize)
-            .is_some_and(|w| w & (1 << (pid % 64)) != 0)
+        self.word((pid / 64) as usize) & (1 << (pid % 64)) != 0
     }
 
     fn insert(&mut self, pid: Pid) -> bool {
-        let w = (pid / 64) as usize;
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-        }
         let bit = 1u64 << (pid % 64);
-        if self.words[w] & bit != 0 {
+        let word = self.word_mut((pid / 64) as usize);
+        if *word & bit != 0 {
             return false;
         }
-        self.words[w] |= bit;
+        *word |= bit;
         self.count += 1;
         true
     }
@@ -315,10 +358,10 @@ impl PidSet {
     fn remove(&mut self, pid: Pid) -> bool {
         let w = (pid / 64) as usize;
         let bit = 1u64 << (pid % 64);
-        if w >= self.words.len() || self.words[w] & bit == 0 {
+        if self.word(w) & bit == 0 {
             return false;
         }
-        self.words[w] &= !bit;
+        *self.word_mut(w) &= !bit;
         self.count -= 1;
         true
     }
@@ -331,16 +374,13 @@ impl PidSet {
     /// Overwrites the bits of word `w` selected by `mask` with those of
     /// `bits`, keeping the cardinality.
     fn splice_word(&mut self, w: usize, bits: u64, mask: u64) {
-        if w >= self.words.len() {
-            if bits & mask == 0 {
-                return;
-            }
-            self.words.resize(w + 1, 0);
-        }
-        let old = self.words[w];
+        let old = self.word(w);
         let new = (old & !mask) | (bits & mask);
+        if new == old {
+            return;
+        }
         self.count = self.count - old.count_ones() + new.count_ones();
-        self.words[w] = new;
+        *self.word_mut(w) = new;
     }
 
     /// Set bits in ascending pid order.
@@ -348,13 +388,23 @@ impl PidSet {
         // Clearing the lowest set bit each step yields bits in ascending
         // order; zero never enters the sequence, so `b - 1` cannot
         // underflow.
-        self.words.iter().enumerate().flat_map(|(w, &bits)| {
+        (0..self.word_count()).flat_map(move |w| {
+            let bits = self.word(w);
             std::iter::successors((bits != 0).then_some(bits), |&b| {
                 let next = b & (b - 1);
                 (next != 0).then_some(next)
             })
             .map(move |b| w as u32 * 64 + b.trailing_zeros())
         })
+    }
+
+    /// The set with every pid `p` renamed to `map[p]`.
+    fn remapped(&self, map: &[Pid]) -> PidSet {
+        let mut out = PidSet::default();
+        for pid in self.iter() {
+            out.insert(map[pid as usize]);
+        }
+        out
     }
 }
 
@@ -438,7 +488,8 @@ pub struct ObservedMsg {
 
 /// Per-router BGP state, flat over the dense prefix space.
 ///
-/// `adj_in` and `loc_rib` are arrays indexed by pid — no sorted-map
+/// `adj_in` and `loc_rib` are arrays indexed by pid, one slot per prefix
+/// of the engine's pid space ([`Bgp::add_prefixes`]) — no sorted-map
 /// memmove on insert, no allocation per message. The per-session tables
 /// are bitsets over pids. The whole struct sits behind an `Arc` for
 /// copy-on-write engine clones.
@@ -447,7 +498,7 @@ struct RouterState {
     /// Routes received per prefix (by pid), per session.
     adj_in: Vec<AdjCell>,
     /// Pids this router originates.
-    originated: VecSet<Pid>,
+    originated: PidSet,
     /// Best route per prefix (by pid).
     loc_rib: Vec<Option<StoredRoute>>,
     /// Pids currently advertised per session.
@@ -459,11 +510,41 @@ struct RouterState {
 }
 
 impl RouterState {
-    fn sized(prefixes: usize) -> Self {
-        RouterState {
-            adj_in: vec![AdjCell::default(); prefixes],
-            loc_rib: vec![None; prefixes],
-            ..Default::default()
+    /// Bytes a copy-on-write break of this state copies: the two flat
+    /// tables plus the words of every pid set.
+    fn cow_bytes(&self) -> u64 {
+        let tables = self.adj_in.len() * std::mem::size_of::<AdjCell>()
+            + self.loc_rib.len() * std::mem::size_of::<Option<StoredRoute>>();
+        let words: usize = self.originated.word_count()
+            + self
+                .adj_out
+                .iter()
+                .chain(self.adj_in_by_session.iter())
+                .map(|(_, set)| set.word_count())
+                .sum::<usize>();
+        (tables + words * std::mem::size_of::<u64>()) as u64
+    }
+
+    /// Widens the tables to a grown pid space of `len` pids, moving every
+    /// old pid `p` to `map[p]`.
+    fn regrow(&mut self, map: &[Pid], len: usize) {
+        let mut adj_in = vec![AdjCell::default(); len];
+        for (cell, &to) in std::mem::take(&mut self.adj_in).into_iter().zip(map) {
+            adj_in[to as usize] = cell;
+        }
+        self.adj_in = adj_in;
+        let mut loc_rib = vec![None; len];
+        for (slot, &to) in self.loc_rib.iter().zip(map) {
+            loc_rib[to as usize] = *slot;
+        }
+        self.loc_rib = loc_rib;
+        self.originated = self.originated.remapped(map);
+        for (_, set) in self
+            .adj_out
+            .iter_mut()
+            .chain(self.adj_in_by_session.iter_mut())
+        {
+            *set = set.remapped(map);
         }
     }
 }
@@ -843,6 +924,8 @@ struct CowRib {
     decisions: u64,
     /// Copy-on-write breaks since the last flush (batched like `decisions`).
     cow_breaks: u64,
+    /// Bytes those breaks copied (batched like `cow_breaks`).
+    cow_bytes: u64,
 }
 
 impl CowRib {
@@ -858,6 +941,7 @@ impl CowRib {
         let arc = &mut self.routers[r.index()];
         if Arc::strong_count(arc) > 1 {
             self.cow_breaks += 1;
+            self.cow_bytes += arc.cow_bytes();
         }
         Arc::make_mut(arc)
     }
@@ -938,7 +1022,7 @@ impl Rib for CowRib {
 
     #[inline]
     fn originates(&self, r: RouterId, pid: Pid) -> bool {
-        self.state(r).originated.contains(&pid)
+        self.state(r).originated.contains(pid)
     }
 
     #[inline]
@@ -999,15 +1083,17 @@ impl Rib for CowRib {
 
 /// The BGP simulator for a whole topology.
 ///
-/// The session table, prefix table and per-session policy metadata are
-/// immutable after construction and shared outright between clones; the
-/// RIBs and the path pool are copy-on-write ([`CowRib`]), so a `Bgp`
-/// clone is O(#routers) pointer bumps.
+/// The session table and per-session policy metadata are immutable after
+/// construction and shared outright between clones; the prefix table only
+/// grows when prefixes are added, and the RIBs and the path pool are
+/// copy-on-write ([`CowRib`]), so a `Bgp` clone is O(#routers) pointer
+/// bumps.
 #[derive(Clone, Debug)]
 pub struct Bgp {
     /// The session table (public for inspection; immutable after build).
     pub sessions: Arc<SessionTable>,
-    /// Sorted prefix table; pid = index (immutable after build).
+    /// Sorted table of the prefixes added so far; pid = index. Grows only
+    /// through [`Bgp::add_prefixes`].
     prefixes: Arc<Vec<Prefix>>,
     /// Per-session policy inputs (immutable after build).
     sess_meta: Arc<Vec<SessMeta>>,
@@ -1025,13 +1111,14 @@ pub struct Bgp {
 }
 
 impl Bgp {
-    /// Creates the engine with empty RIBs and no routes originated.
+    /// Creates the engine with an empty pid space (so no RIB tables) and
+    /// no routes originated.
     pub fn new(topology: &Topology) -> Self {
         let sessions = Arc::new(SessionTable::build(topology));
-        let mut prefixes: Vec<Prefix> = topology.ases().iter().map(|a| a.prefix).collect();
-        prefixes.sort_unstable();
-        prefixes.dedup();
-        let n_prefixes = prefixes.len();
+        let mut all: Vec<Prefix> = topology.ases().iter().map(|a| a.prefix).collect();
+        all.sort_unstable();
+        all.dedup();
+        let n_prefixes = all.len();
         let sess_meta: Vec<SessMeta> = sessions
             .sessions()
             .iter()
@@ -1065,7 +1152,7 @@ impl Bgp {
             MAX_MESSAGES_PER_RUN.max(sess_meta.len() as u64 * n_prefixes.max(1) as u64 * 64);
         Bgp {
             sessions,
-            prefixes: Arc::new(prefixes),
+            prefixes: Arc::new(Vec::new()),
             sess_meta: Arc::new(sess_meta),
             filters: ExportFilters::new(),
             msg_cap,
@@ -1074,7 +1161,7 @@ impl Bgp {
             rib: CowRib {
                 paths: Arc::new(PathPool::new()),
                 routers: (0..topology.router_count())
-                    .map(|_| Arc::new(RouterState::sized(n_prefixes)))
+                    .map(|_| Arc::new(RouterState::default()))
                     .collect(),
                 queue: VecDeque::new(),
                 observer: None,
@@ -1084,6 +1171,7 @@ impl Bgp {
                 trace_on: false,
                 decisions: 0,
                 cow_breaks: 0,
+                cow_bytes: 0,
             },
         }
     }
@@ -1222,30 +1310,70 @@ impl Bgp {
         &self.filters
     }
 
-    /// Originates `as_id`'s prefix at every border router of the AS (every
-    /// router for single-router ASes). Queues the initial announcements;
-    /// call [`Bgp::run`] afterwards.
-    pub fn originate_as(&mut self, ctx: Ctx<'_>, as_id: AsId) {
-        let asn = ctx.topology.as_node(as_id);
-        let pid = self
-            .pid_of(&asn.prefix)
-            .expect("every AS prefix is interned at engine construction");
-        let originators: Vec<RouterId> = asn
-            .routers
+    /// Adds the prefixes of `ases` to the pid space without originating
+    /// them; prefixes already in it are skipped.
+    ///
+    /// The new prefixes are merged into the sorted prefix table, and every
+    /// router's tables, the per-session sets and the queued messages are
+    /// renamed through the old-pid → new-pid map. The map is monotone, so
+    /// ascending pid still means ascending [`Prefix`] and every pid-ordered
+    /// walk (replay, flush, readvertise) visits prefixes in the same order
+    /// as before the growth.
+    pub fn add_prefixes(&mut self, topology: &Topology, ases: &[AsId]) {
+        let fresh: Vec<Prefix> = ases
             .iter()
-            .copied()
-            .filter(|&r| asn.routers.len() == 1 || ctx.topology.is_border_router(r))
+            .map(|&a| topology.as_node(a).prefix)
+            .filter(|p| self.pid_of(p).is_none())
             .collect();
-        for r in originators {
-            self.rib.state_mut(r).originated.insert(pid);
-            self.decide_and_propagate(ctx, r, pid);
+        if fresh.is_empty() {
+            return;
+        }
+        let mut merged: Vec<Prefix> = self.prefixes.iter().copied().chain(fresh).collect();
+        merged.sort_unstable();
+        merged.dedup();
+        let map: Vec<Pid> = self
+            .prefixes
+            .iter()
+            .map(|p| {
+                merged
+                    .binary_search(p)
+                    .expect("the merged table holds every old prefix") as Pid
+            })
+            .collect();
+        let len = merged.len();
+        self.prefixes = Arc::new(merged);
+        for r in 0..self.rib.routers.len() {
+            self.rib.state_mut(RouterId(r as u32)).regrow(&map, len);
+        }
+        for msg in &mut self.rib.queue {
+            match &mut msg.payload {
+                Payload::Update(rm) => rm.pid = map[rm.pid as usize],
+                Payload::Withdraw(pid) => *pid = map[*pid as usize],
+            }
         }
     }
 
-    /// Originates every AS's prefix.
-    pub fn originate_all(&mut self, ctx: Ctx<'_>) {
-        for a in 0..ctx.topology.as_count() {
-            self.originate_as(ctx, AsId(a as u32));
+    /// Originates the prefix of each AS in `ases`, in the given order, at
+    /// every border router of the AS (every router for single-router
+    /// ASes), after adding the prefixes to the pid space in one growth
+    /// step. Queues the initial announcements; call [`Bgp::run`]
+    /// afterwards.
+    pub fn originate(&mut self, ctx: Ctx<'_>, ases: &[AsId]) {
+        self.add_prefixes(ctx.topology, ases);
+        for &as_id in ases {
+            let asn = ctx.topology.as_node(as_id);
+            let pid = self
+                .pid_of(&asn.prefix)
+                .expect("add_prefixes interned every originated prefix");
+            let originators = asn
+                .routers
+                .iter()
+                .copied()
+                .filter(|&r| asn.routers.len() == 1 || ctx.topology.is_border_router(r));
+            for r in originators {
+                self.rib.state_mut(r).originated.insert(pid);
+                self.decide_and_propagate(ctx, r, pid);
+            }
         }
     }
 
@@ -1275,7 +1403,10 @@ impl Bgp {
         if rib.cow_breaks > 0 {
             rib.recorder
                 .add(names::SIM_SNAPSHOT_COW_BREAKS, rib.cow_breaks);
+            rib.recorder
+                .add(names::SIM_SNAPSHOT_COW_BYTES, rib.cow_bytes);
             rib.cow_breaks = 0;
+            rib.cow_bytes = 0;
         }
         if self.replay_prefixes > 0 {
             rib.recorder
@@ -1361,7 +1492,7 @@ impl Bgp {
                     adj_out,
                     adj_in_by_session,
                 } = Arc::get_mut(arc).expect("every router was made unique above");
-                let originated: &VecSet<Pid> = originated;
+                let originated: &PidSet = originated;
                 let mut adj_rest: &mut [AdjCell] = adj_in;
                 let mut rib_rest: &mut [Option<StoredRoute>] = loc_rib;
                 for (k, shard) in shards.iter_mut().enumerate() {
@@ -1732,7 +1863,7 @@ struct ShardCols<'a> {
     /// Loc-RIB entries for pids `[lo, hi)`.
     loc_rib: &'a mut [Option<StoredRoute>],
     /// Pids the router originates (read-only during a run).
-    originated: &'a VecSet<Pid>,
+    originated: &'a PidSet,
 }
 
 /// One router's per-session bits for a shard's pid range, held by the
@@ -1806,7 +1937,7 @@ impl Rib for ShardRib<'_> {
 
     #[inline]
     fn originates(&self, r: RouterId, pid: Pid) -> bool {
-        self.cols[r.index()].originated.contains(&pid)
+        self.cols[r.index()].originated.contains(pid)
     }
 
     #[inline]
@@ -1914,16 +2045,15 @@ fn range_mask(w: usize, lo: Pid, hi: Pid) -> u64 {
 /// `[lo, hi)`, re-based so local bit 0 is pid `lo / 64 * 64`. Sessions
 /// with no bit in the range get no entry.
 fn slice_bits(src: &VecMap<SessionId, PidSet>, lo: Pid, hi: Pid) -> VecMap<SessionId, PidSet> {
-    let words = (lo / 64) as usize..hi.div_ceil(64) as usize;
+    let w0 = (lo / 64) as usize;
     let mut out = VecMap::default();
     for (&sid, set) in src {
-        let words: Vec<u64> = words
-            .clone()
-            .map(|w| set.words.get(w).copied().unwrap_or(0) & range_mask(w, lo, hi))
-            .collect();
-        let count = words.iter().map(|w| w.count_ones()).sum();
-        if count > 0 {
-            out.insert(sid, PidSet { words, count });
+        let mut local = PidSet::default();
+        for w in w0..hi.div_ceil(64) as usize {
+            local.splice_word(w - w0, set.word(w), range_mask(w, lo, hi));
+        }
+        if !local.is_empty() {
+            out.insert(sid, local);
         }
     }
     out
@@ -1945,8 +2075,8 @@ fn fold_bits(
     let w0 = (lo / 64) as usize;
     for (&sid, set) in src {
         let d = dst.entry_or_default(sid);
-        for (i, &bits) in set.words.iter().enumerate() {
-            d.splice_word(w0 + i, bits, range_mask(w0 + i, lo, hi));
+        for w in w0..hi.div_ceil(64) as usize {
+            d.splice_word(w, set.word(w - w0), range_mask(w, lo, hi));
         }
         if prune && d.is_empty() {
             dst.remove(&sid);
@@ -2052,9 +2182,11 @@ mod tests {
         // links and reconverge, both on `threads` shards.
         let scenario = |step: usize, threads: usize| {
             let mut bgp = Bgp::new(&topology);
-            for a in (0..topology.as_count()).step_by(step) {
-                bgp.originate_as(ctx, AsId(a as u32));
-            }
+            let ases: Vec<AsId> = (0..topology.as_count())
+                .step_by(step)
+                .map(|a| AsId(a as u32))
+                .collect();
+            bgp.originate(ctx, &ases);
             let converged = bgp.run_sharded(ctx, threads);
             let converged_dump = dump(&bgp);
             for &l in &failed {

@@ -1,4 +1,4 @@
-//! Sorted-vector map/set used for per-router RIB state.
+//! Sorted-vector map used for per-router RIB state.
 //!
 //! The per-router tables are tiny (tens of entries) but are cloned and
 //! dropped on every copy-on-write break of the failure/restore hot loop.
@@ -93,6 +93,12 @@ impl<K: Ord + Copy, V> VecMap<K, V> {
         self.entries.iter().map(|(k, v)| (k, v))
     }
 
+    /// Entries in ascending key order, values mutable.
+    #[inline]
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (&K, &mut V)> {
+        self.entries.iter_mut().map(|(k, v)| (&*k, v))
+    }
+
     /// Keys in ascending order.
     #[inline]
     pub fn keys(&self) -> impl Iterator<Item = &K> {
@@ -129,55 +135,6 @@ impl<K: fmt::Debug, V: fmt::Debug> fmt::Debug for VecMap<K, V> {
     }
 }
 
-/// A set backed by a sorted `Vec<T>`.
-#[derive(Clone, PartialEq, Eq)]
-pub struct VecSet<T> {
-    entries: Vec<T>,
-}
-
-// Manual impl: the derive would demand `T: Default`.
-impl<T> Default for VecSet<T> {
-    fn default() -> Self {
-        VecSet {
-            entries: Vec::new(),
-        }
-    }
-}
-
-impl<T: Ord + Copy> VecSet<T> {
-    /// True when `t` is present.
-    #[inline]
-    pub fn contains(&self, t: &T) -> bool {
-        self.entries.binary_search(t).is_ok()
-    }
-
-    /// Inserts `t`; returns false when it was already present.
-    pub fn insert(&mut self, t: T) -> bool {
-        match self.entries.binary_search(&t) {
-            Ok(_) => false,
-            Err(i) => {
-                self.entries.insert(i, t);
-                true
-            }
-        }
-    }
-}
-
-impl<T> IntoIterator for VecSet<T> {
-    type Item = T;
-    type IntoIter = std::vec::IntoIter<T>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.entries.into_iter()
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for VecSet<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_set().entries(self.entries.iter()).finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,16 +154,5 @@ mod tests {
         assert!(!m.contains_key(&1));
         *m.entry_or_default(9) = "nine";
         assert_eq!(m.get(&9), Some(&"nine"));
-    }
-
-    #[test]
-    fn set_semantics() {
-        let mut s: VecSet<u32> = VecSet::default();
-        assert!(s.insert(4));
-        assert!(s.insert(2));
-        assert!(!s.insert(4));
-        assert_eq!(s.clone().into_iter().collect::<Vec<_>>(), vec![2, 4]);
-        assert!(s.contains(&2));
-        assert!(!s.contains(&3));
     }
 }

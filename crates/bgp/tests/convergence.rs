@@ -8,6 +8,11 @@ use netdiag_igp::{Igp, LinkState};
 use netdiag_obs::RecorderHandle;
 use netdiag_topology::{AsId, AsKind, LinkRelationship, RouterId, Topology, TopologyBuilder};
 
+/// Every AS of `t`, in id order.
+fn every_as(t: &Topology) -> Vec<AsId> {
+    t.ases().iter().map(|a| a.id).collect()
+}
+
 /// Full simulator bundle for tests.
 struct Net {
     topology: Topology,
@@ -26,7 +31,7 @@ impl Net {
             igp: &igp,
             links: &links,
         };
-        bgp.originate_all(ctx);
+        bgp.originate(ctx, &every_as(&topology));
         bgp.run(ctx);
         Net {
             topology,
@@ -197,7 +202,7 @@ fn observer_sees_withdrawal() {
         igp: &igp,
         links: &links,
     };
-    bgp.originate_all(ctx);
+    bgp.originate(ctx, &every_as(&t));
     bgp.run(ctx);
     bgp.take_observed(); // discard the initial convergence chatter
 
@@ -263,7 +268,7 @@ fn misconfiguration_observed_as_withdrawal() {
         igp: &igp,
         links: &links,
     };
-    bgp.originate_all(ctx);
+    bgp.originate(ctx, &every_as(&t));
     bgp.run(ctx);
     let mut net = Net {
         topology: t,
@@ -362,7 +367,7 @@ fn originate_subset_matches_full_origination() {
         igp: &igp,
         links: &links,
     };
-    bgp.originate_as(ctx, AsId(3)); // only S's prefix
+    bgp.originate(ctx, &[AsId(3)]); // only S's prefix
     bgp.run(ctx);
 
     let s_prefix = t.as_node(AsId(3)).prefix;

@@ -11,6 +11,11 @@ use netdiag_topology::{
     AsId, AsKind, LinkRelationship, Prefix, RouterId, Topology, TopologyBuilder,
 };
 
+/// Every AS of `t`, in id order.
+fn every_as(t: &Topology) -> Vec<AsId> {
+    t.ases().iter().map(|a| a.id).collect()
+}
+
 fn converge(topology: &Arc<Topology>) -> (LinkState, Igp, Bgp) {
     let links = LinkState::all_up(topology);
     let igp = Igp::compute(topology, &links);
@@ -20,7 +25,7 @@ fn converge(topology: &Arc<Topology>) -> (LinkState, Igp, Bgp) {
         igp: &igp,
         links: &links,
     };
-    bgp.originate_all(ctx);
+    bgp.originate(ctx, &every_as(topology));
     bgp.run(ctx);
     (links, igp, bgp)
 }

@@ -22,6 +22,11 @@ struct World {
     bgp: Bgp,
 }
 
+/// Every AS of `t`, in id order.
+fn every_as(t: &Topology) -> Vec<AsId> {
+    t.ases().iter().map(|a| a.id).collect()
+}
+
 fn converge_world(seed: u64) -> World {
     let net = build_internet(&InternetConfig::small(seed));
     let topology = Arc::new(net.topology.clone());
@@ -33,7 +38,7 @@ fn converge_world(seed: u64) -> World {
         igp: &igp,
         links: &links,
     };
-    bgp.originate_all(ctx);
+    bgp.originate(ctx, &every_as(&topology));
     bgp.run(ctx);
     World {
         topology,

@@ -255,7 +255,12 @@ fn netdiag_profile_writes_a_run_report() {
             .and_then(Json::as_u64)
             .unwrap_or(0)
     };
-    for name in [names::IGP_SETTLED_NODES, names::BGP_MSGS] {
+    for name in [
+        names::IGP_SETTLED_NODES,
+        names::BGP_MSGS,
+        names::SIM_SNAPSHOT_COW_BREAKS,
+        names::SIM_SNAPSHOT_COW_BYTES,
+    ] {
         assert!(counter(&sim_profile, name) > 0, "simulate: {name}");
     }
     for name in [names::DIAG_RUNS, names::HS_GREEDY_ITERS] {

@@ -83,15 +83,22 @@ impl Sim {
     }
 
     /// [`Sim::new`] with the initial per-AS SPF runs fanned over `threads`
-    /// scoped workers ([`Igp::compute_parallel`]). Byte-identical to
-    /// [`Sim::new`] — each AS's IGP tables depend only on the immutable
-    /// topology and link state — but without instrumentation: the SPF
-    /// counters are defined by the sequential run order, so a recorder
-    /// cannot be attached to the parallel path.
+    /// scoped workers ([`Igp::compute_parallel`]), for whole-internet
+    /// convergence ([`Sim::converge_all_sharded`]). Routes are
+    /// byte-identical to [`Sim::new`] — each AS's IGP tables depend only on
+    /// the immutable topology and link state — but there is no
+    /// instrumentation: the SPF counters are defined by the sequential run
+    /// order, so a recorder cannot be attached to the parallel path.
+    ///
+    /// The BGP pid space is sized to every AS prefix here
+    /// ([`Bgp::add_prefixes`]), so the one-time table sizing is paid at
+    /// construction rather than inside the convergence it precedes.
     pub fn new_parallel(topology: Arc<Topology>, threads: usize) -> Self {
         let links = LinkState::all_up(&topology);
         let igp = Igp::compute_parallel(&topology, &links, threads);
         let mut bgp = Bgp::new(&topology);
+        let ases: Vec<AsId> = topology.ases().iter().map(|a| a.id).collect();
+        bgp.add_prefixes(&topology, &ases);
         bgp.recompute_liveness(Ctx {
             topology: &topology,
             igp: &igp,
@@ -187,9 +194,7 @@ impl Sim {
             igp: &self.igp,
             links: &self.links,
         };
-        for &a in ases {
-            self.bgp.originate_as(ctx, a);
-        }
+        self.bgp.originate(ctx, ases);
         self.messages += self.bgp.run(ctx).messages;
     }
 
@@ -215,14 +220,13 @@ impl Sim {
             self.converge_all();
             return;
         }
+        let ids: Vec<AsId> = self.topology.ases().iter().map(|a| a.id).collect();
         let ctx = Ctx {
             topology: &self.topology,
             igp: &self.igp,
             links: &self.links,
         };
-        for a in self.topology.ases() {
-            self.bgp.originate_as(ctx, a.id);
-        }
+        self.bgp.originate(ctx, &ids);
         self.messages += self.bgp.run_sharded(ctx, threads).messages;
     }
 

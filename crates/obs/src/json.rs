@@ -62,11 +62,18 @@ impl Json {
     }
 }
 
-/// Parses one complete JSON document; trailing non-whitespace is an error.
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so an unbounded depth would let one line of `[`s
+/// overflow the stack; deeper documents are refused with an error.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses one complete JSON document; trailing non-whitespace is an error,
+/// and so is nesting deeper than [`MAX_DEPTH`].
 pub fn parse(src: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -80,6 +87,8 @@ pub fn parse(src: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -123,8 +132,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -133,6 +142,21 @@ impl Parser<'_> {
             Some(b) => Err(format!("unexpected '{}' at byte {}", b as char, self.pos)),
             None => Err("unexpected end of input".to_owned()),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -316,6 +340,24 @@ mod tests {
         for bad in ["", "{", "{\"a\":}", "[1,]", "tru", "\"open", "{} x", "01a"] {
             assert!(parse(bad).is_err(), "{bad:?} must fail");
         }
+    }
+
+    #[test]
+    fn refuses_nesting_past_the_depth_limit_without_overflowing() {
+        // Each input would overflow the stack of a parser without a limit.
+        let deep_arrays = "[".repeat(200_000);
+        let deep_objects = "{\"a\":".repeat(200_000);
+        for deep in [&deep_arrays, &deep_objects] {
+            let err = parse(deep).expect_err("too deep");
+            assert!(err.contains("nesting deeper than"), "{err}");
+        }
+        // Exactly the limit still parses, one more level does not.
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let past = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&past).is_err());
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&objects).is_ok());
     }
 
     #[test]

@@ -37,6 +37,9 @@ pub const SIM_SNAPSHOT_DEEP_COPIES: &str = "sim.snapshot.deep_copies";
 /// Counter: copy-on-write breaks — shared per-AS IGP tables or per-router
 /// BGP state cloned because a mutation touched them.
 pub const SIM_SNAPSHOT_COW_BREAKS: &str = "sim.snapshot.cow_breaks";
+/// Counter: bytes copied by the per-router BGP copy-on-write breaks — each
+/// router's two flat RIB tables plus its per-session set words.
+pub const SIM_SNAPSHOT_COW_BYTES: &str = "sim.snapshot.cow_bytes";
 
 // --- probe: simulated measurements -----------------------------------------
 

@@ -312,6 +312,14 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_request_is_refused_not_a_crash() {
+        for deep in ["[".repeat(200_000), "{\"a\":".repeat(200_000)] {
+            let err = parse_request(&deep).expect_err("too deep");
+            assert!(err.contains("nesting deeper than"), "{err}");
+        }
+    }
+
+    #[test]
     fn diagnose_without_after_is_rejected() {
         let err = parse_request(r#"{"op":"diagnose"}"#).unwrap_err();
         assert!(err.contains("after"));

@@ -30,6 +30,9 @@ cargo build --release
 echo "== tests (whole workspace) =="
 cargo test --workspace -q
 
+echo "== perfbench self-test (checks fire on tampered trials, responses, RIBs) =="
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "== bench + perf gates (full budget) =="
 # scripts/bench.sh runs the perf bench, writes its medians under target/ and applies
 # the regression / incremental / pool / trace-overhead guards. The gate
@@ -113,6 +116,17 @@ if serve request --connect "$addr" --dir "$servedir/unknown" 2> "$servedir/unkno
     exit 1
 fi
 grep -q 'sensor 99' "$servedir/unknown.err"
+# A request line nested 200,000 arrays deep is refused with an error
+# instead of overflowing the JSON parser's stack; the daemon stays up,
+# the diagnose below still answers and `stats` still reports ready.
+python3 - "$addr" <<'PY'
+import socket, sys
+host, port = sys.argv[1].rsplit(":", 1)
+with socket.create_connection((host, int(port)), timeout=30) as s:
+    s.sendall(b"[" * 200_000 + b"\n")
+    reply = s.makefile().readline()
+assert '"ok":false' in reply and "nesting deeper than" in reply, reply
+PY
 timeout 60 cargo run -q --release -p netdiag-serve --bin netdiag-serve -- \
     request --connect "$addr" --dir "$tracedir/scn" --algo nd-bgpigp --json \
     | grep -q '"schema":1'
